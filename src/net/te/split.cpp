@@ -103,14 +103,16 @@ SplitResult solve_from_candidates(const SimTopologyView& view,
     return out;
   }
 
-  std::vector<char> in_lp(pairs, 0);
-  for (const std::size_t f : lp_order) in_lp[f] = 1;
+  // Position of each pair in lp_order (kNotInLp when pinned).
+  constexpr std::size_t kNotInLp = SIZE_MAX;
+  std::vector<std::size_t> lp_index(pairs, kNotInLp);
+  for (std::size_t i = 0; i < lp_order.size(); ++i) lp_index[lp_order[i]] = i;
 
   // Fixed background load: every non-LP served pair on its shortest live
   // candidate (which is also its final route).
   std::vector<double> background_bps(view.capacity_bps.size(), 0.0);
   for (std::size_t f = 0; f < pairs; ++f) {
-    if (in_lp[f] || live[f].empty()) continue;
+    if (lp_index[f] != kNotInLp || live[f].empty()) continue;
     for (const graphs::EdgeId eid :
          cands.pairs[f].paths[live[f].front()].edges) {
       background_bps[eid] += demands[f].rate_bps;
@@ -149,33 +151,39 @@ SplitResult solve_from_candidates(const SimTopologyView& view,
   }
   // Capacity rows only for edges an LP candidate actually crosses — the
   // rest cannot change under the optimization (their utilization is
-  // reported post-hoc from the final weights).
-  std::vector<char> touched(view.capacity_bps.size(), 0);
+  // reported post-hoc from the final weights). Rows go in edge order; one
+  // pass over the LP paths then adds each crossing into its edge's row.
+  constexpr std::size_t kNoRow = SIZE_MAX;
+  std::vector<std::size_t> edge_row(view.capacity_bps.size(), kNoRow);
   for (const std::size_t f : lp_order) {
     for (const std::size_t c : live[f]) {
       for (const graphs::EdgeId eid : cands.pairs[f].paths[c].edges) {
-        touched[eid] = 1;
+        edge_row[eid] = 0;  // touched; the row index is assigned below
       }
     }
   }
-  for (std::size_t e = 0; e < touched.size(); ++e) {
-    if (!touched[e]) continue;
-    const double cap = view.capacity_bps[e];
+  for (std::size_t e = 0; e < edge_row.size(); ++e) {
+    if (edge_row[e] == kNoRow) continue;
+    edge_row[e] = prog.constraints.size();
     std::vector<double> coeffs(num_vars, 0.0);
     coeffs[0] = -1.0;
-    for (std::size_t i = 0; i < lp_order.size(); ++i) {
-      const std::size_t f = lp_order[i];
-      for (std::size_t j = 0; j < live[f].size(); ++j) {
-        const graphs::Path& path = cands.pairs[f].paths[live[f][j]];
-        for (const graphs::EdgeId eid : path.edges) {
-          if (eid == e) coeffs[var_base[i] + j] += demands[f].rate_bps / cap;
-        }
+    prog.add_less_eq(std::move(coeffs),
+                     -background_bps[e] / view.capacity_bps[e]);
+  }
+  for (std::size_t i = 0; i < lp_order.size(); ++i) {
+    const std::size_t f = lp_order[i];
+    for (std::size_t j = 0; j < live[f].size(); ++j) {
+      const graphs::Path& path = cands.pairs[f].paths[live[f][j]];
+      for (const graphs::EdgeId eid : path.edges) {
+        prog.constraints[edge_row[eid]].coeffs[var_base[i] + j] +=
+            demands[f].rate_bps / view.capacity_bps[eid];
       }
     }
-    prog.add_less_eq(std::move(coeffs), -background_bps[e] / cap);
   }
 
-  const lp::Solution sol = lp::solve(prog);
+  lp::SimplexOptions simplex;
+  simplex.threads = options.threads;
+  const lp::Solution sol = lp::solve(prog, simplex);
   if (sol.status == lp::SolveStatus::IterationLimit) {
     // Deterministic, visible fallback: everything pins single-path.
     out.lp_fallback = true;
@@ -190,12 +198,11 @@ SplitResult solve_from_candidates(const SimTopologyView& view,
   out.lp_pairs = lp_order.size();
 
   for (std::size_t f = 0; f < pairs; ++f) {
-    if (live[f].empty() || !in_lp[f]) {
+    const std::size_t i = lp_index[f];
+    if (live[f].empty() || i == kNotInLp) {
       if (!live[f].empty()) pin_shortest(f);
       continue;
     }
-    const std::size_t i = static_cast<std::size_t>(
-        std::find(lp_order.begin(), lp_order.end(), f) - lp_order.begin());
     // Keep weights above min_weight and renormalize; if rounding drops
     // everything, the largest raw weight (ties: shortest candidate)
     // carries the pair alone.

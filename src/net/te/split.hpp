@@ -35,10 +35,10 @@
 // solve is byte-identical to a cold one (the solve is a pure function,
 // and a key hit replays its exact output).
 //
-// Determinism: the LP is solved serially (its result feeds every pair,
-// and the dense simplex is a pure function of the tableau); threading
-// only shards candidate gathering. Weights are byte-identical at every
-// thread count.
+// Determinism: threading shards candidate gathering and the simplex's
+// pivot row updates (lp/simplex.hpp). Each gathered pair and each updated
+// tableau row is computed independently of the others, so the LP solution
+// — and every weight — is byte-identical at every thread count.
 
 #include <cstddef>
 #include <cstdint>
@@ -98,8 +98,8 @@ struct SplitOptions {
   double min_weight = 1e-3;
   /// Latency tiebreak coefficient in the objective (utilization units).
   double latency_tiebreak = 1e-6;
-  /// Candidate gathering only (the LP is serial): 1 = serial, 0 = all
-  /// cores; results are byte-identical for every value.
+  /// Candidate gathering and the LP's pivot row updates: 1 = serial,
+  /// 0 = all cores; results are byte-identical for every value.
   std::size_t threads = 1;
   /// Capacities the candidate gather reads (MCF proposals); nullptr =
   /// the view's current capacities. Timelines pass the NOMINAL

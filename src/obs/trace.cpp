@@ -126,6 +126,14 @@ TraceSpan::TraceSpan(std::string name, std::string cat, std::string arg_name,
           {{std::move(arg_name), arg_value}}});
 }
 
+TraceSpan::TraceSpan(std::string name, std::string cat,
+                     std::vector<std::pair<std::string, double>> args)
+    : name_(std::move(name)), cat_(std::move(cat)),
+      armed_(trace_enabled()) {
+  if (!armed_) return;
+  append({name_, cat_, 'B', now_ns(), 0, std::move(args)});
+}
+
 TraceSpan::~TraceSpan() {
   if (!armed_) return;
   // Matched even when tracing was flipped off mid-span: the begin event is

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cisp::obs {
@@ -44,12 +45,14 @@ struct TraceEvent {
 
 /// RAII duration span: records 'B' on construction when tracing is
 /// enabled, and the matching 'E' on destruction (even if tracing was
-/// disabled in between). The optional arg is attached to the begin event.
+/// disabled in between). The optional args are attached to the begin event.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string name, std::string cat = "cisp");
   TraceSpan(std::string name, std::string cat, std::string arg_name,
             double arg_value);
+  TraceSpan(std::string name, std::string cat,
+            std::vector<std::pair<std::string, double>> args);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;

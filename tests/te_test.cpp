@@ -104,10 +104,10 @@ struct Fixture {
   }
 };
 
-Fixture make_fixture(std::uint64_t seed) {
+Fixture make_fixture(std::uint64_t seed, std::uint32_t n = 12,
+                     int pair_draws = 24) {
   Fixture f;
   Rng rng(seed);
-  const std::uint32_t n = 12;
   f.plan.node_count = n;
   for (std::uint32_t i = 0; i < n; ++i) {
     f.xy.push_back({rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)});
@@ -127,7 +127,7 @@ Fixture make_fixture(std::uint64_t seed) {
     add_link(f.plan, i, j, rng.uniform(2.0, 20.0), km(i, j), true);
   }
   std::vector<flow::PairDemand> pairs;
-  for (int d = 0; d < 24; ++d) {
+  for (int d = 0; d < pair_draws; ++d) {
     const auto s = static_cast<std::uint32_t>(rng.uniform_index(n));
     const auto t = static_cast<std::uint32_t>(rng.uniform_index(n));
     if (s == t) continue;
@@ -307,6 +307,31 @@ TEST(TeSplit, WeightsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(split.max_utilization, reference.max_utilization);
     EXPECT_EQ(split.mcf_lambda, reference.mcf_lambda);
   }
+}
+
+TEST(TeSplit, LargeLpWeightsByteIdenticalAtOneAndFourThreads) {
+  // The fixtures above give split LPs too small for the simplex to shard
+  // its pivots. 24 nodes and ~150 pairs give a few hundred rows by
+  // ~1k columns, and nearly every pivot at 4 threads runs sharded.
+  const Fixture f = make_fixture(107, 24, 160);
+  const TopologyView topo = view_from_plan(f.plan);
+  std::vector<TrafficDemand> demands = f.base.to_demands();
+  for (auto& d : demands) d.rate_bps *= 50.0;
+  te::SplitOptions options;
+  options.candidates.max_stretch = 10.0;
+
+  options.threads = 1;
+  const te::SplitResult reference =
+      te::solve_splits(topo.view, demands, f.direct_km(), options);
+  EXPECT_GT(reference.lp_pairs, 100u);
+  EXPECT_GT(reference.split_pairs, 0u);
+  EXPECT_FALSE(reference.lp_fallback);
+  options.threads = 4;
+  const te::SplitResult split =
+      te::solve_splits(topo.view, demands, f.direct_km(), options);
+  expect_routes_equal(split.routes, reference.routes);
+  EXPECT_EQ(split.max_utilization, reference.max_utilization);
+  EXPECT_EQ(split.lp_pairs, reference.lp_pairs);
 }
 
 TEST(TeSplit, WarmSolveReplaysColdBytesAndReusesCaches) {

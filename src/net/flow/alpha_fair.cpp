@@ -44,11 +44,7 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
   // The max-min limit: dispatch to the exact progressive-filling allocator
   // (weights vanish in the limit — w^(1/alpha) -> 1).
   if (!std::isfinite(options.alpha) || options.alpha >= kMaxMinAlpha) {
-    AllocatorOptions mm;
-    mm.threads = options.threads;
-    mm.parallel_cutoff = options.parallel_cutoff;
-    mm.warm = options.warm;
-    return max_min_allocate(view, paths, demand_bps, mm);
+    return max_min_allocate(view, paths, demand_bps, {.warm = options.warm});
   }
 
   const obs::TraceSpan span("flow.alpha_fair", "allocator", "flows",
@@ -241,11 +237,8 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
   // The fill runs cold on purpose: it would need the max-min-flavor
   // incidence (all flows, not demand-gated), and sharing `state` would
   // evict the alpha-fair structure cached above every epoch.
-  AllocatorOptions fill_options;
-  fill_options.threads = options.threads;
-  fill_options.parallel_cutoff = options.parallel_cutoff;
   const Allocation fill =
-      max_min_allocate(residual_view, paths, residual_demand, fill_options);
+      max_min_allocate(residual_view, paths, residual_demand);
   out.rounds += fill.rounds;
   out.fill_rounds = fill.rounds;
 

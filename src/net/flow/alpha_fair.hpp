@@ -22,12 +22,12 @@
 // the leftover capacity), so the returned allocation never oversubscribes
 // a link and never strands capacity a flow still wants.
 //
-// Determinism contract (same as max_min_allocate): the returned allocation
-// is byte-identical for EVERY thread count. Every sharded piece is either
-// a per-slot write (rates, loads, prices) or an exact extremum reduction
-// (the convergence residual) — no floating-point accumulation ever depends
-// on chunk boundaries, and the iteration count is itself a deterministic
-// function of the input.
+// Determinism contract: the returned allocation is byte-identical for
+// EVERY thread count. Every sharded piece is either a per-slot write
+// (rates, loads, prices) or an exact extremum reduction (the convergence
+// residual) — no floating-point accumulation ever depends on chunk
+// boundaries, and the iteration count is itself a deterministic function
+// of the input. The Pareto fill and the max-min dispatch are serial.
 
 #include <cstddef>
 #include <vector>

@@ -1,9 +1,9 @@
 #include "net/flow/max_min.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
+#include <limits>
 
-#include "net/flow/shard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -12,9 +12,7 @@ namespace cisp::net::flow {
 
 namespace {
 
-using detail::kInf;
-using detail::sharded_apply;
-using detail::sharded_min;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -78,6 +76,22 @@ void ensure_incidence(const SimTopologyView& view,
 
 }  // namespace detail
 
+void scatter_served(Allocation& allocation,
+                    const std::vector<std::size_t>& served,
+                    std::size_t pairs) {
+  std::vector<double> rates(pairs, 0.0);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    rates[served[i]] = allocation.rate_bps[i];
+  }
+  allocation.rate_bps = std::move(rates);
+  if (allocation.bottleneck_edge.empty()) return;
+  std::vector<graphs::EdgeId> edges(pairs, kNoBottleneck);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    edges[served[i]] = allocation.bottleneck_edge[i];
+  }
+  allocation.bottleneck_edge = std::move(edges);
+}
+
 Allocation max_min_allocate(const SimTopologyView& view,
                             const std::vector<graphs::Path>& paths,
                             const std::vector<double>& demand_bps,
@@ -89,10 +103,11 @@ Allocation max_min_allocate(const SimTopologyView& view,
   const std::size_t flows = paths.size();
   const std::size_t edges = view.latency_graph.edge_count();
   CISP_REQUIRE(view.capacity_bps.size() == edges, "view arrays inconsistent");
-
-  std::unique_ptr<engine::Executor> pool;
-  if (options.threads != 1 && flows >= options.parallel_cutoff) {
-    pool = std::make_unique<engine::Executor>(options.threads);
+  for (const double cap : view.capacity_bps) {
+    CISP_REQUIRE(cap >= 0.0, "edge capacity must be non-negative (not NaN)");
+  }
+  for (const double demand : demand_bps) {
+    CISP_REQUIRE(!std::isnan(demand), "flow demand must not be NaN");
   }
 
   // Per-flow edge sequences and the edge -> flows incidence (freeze
@@ -109,89 +124,109 @@ Allocation max_min_allocate(const SimTopologyView& view,
   Allocation out;
   out.rate_bps.assign(flows, 0.0);
   out.edge_load_bps.assign(edges, 0.0);
+  out.bottleneck_edge.assign(flows, kNoBottleneck);
 
-  std::vector<char> active(flows, 1);
+  // Active flows in ascending demand order; `next` is the first of them
+  // that is still unfrozen.
+  std::vector<char> active(flows, 0);
+  std::vector<std::uint32_t> by_demand;
   std::vector<double> cap_rem = view.capacity_bps;
   std::vector<std::size_t> count(edges, 0);
-  std::size_t active_flows = 0;
   for (std::size_t f = 0; f < flows; ++f) {
-    if (demand_bps[f] <= 0.0) {
-      active[f] = 0;
-      continue;
-    }
-    ++active_flows;
+    if (demand_bps[f] <= 0.0) continue;
+    active[f] = 1;
+    by_demand.push_back(static_cast<std::uint32_t>(f));
     for (const graphs::EdgeId eid : flow_edges[f]) ++count[eid];
   }
+  std::stable_sort(by_demand.begin(), by_demand.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return demand_bps[a] < demand_bps[b];
+                   });
+  std::size_t next = 0;
+  std::size_t active_flows = by_demand.size();
 
-  // Saturation slack: relative to each edge's capacity so Gbps-scale links
-  // and unit-test-scale links both converge.
-  const auto saturated = [&](std::size_t e) {
-    return count[e] > 0 && cap_rem[e] <= view.capacity_bps[e] * 1e-9;
-  };
-  const auto demand_met = [&](std::size_t f) {
-    return demand_bps[f] - out.rate_bps[f] <= demand_bps[f] * 1e-12;
+  // Edges some active flow still crosses, in index order.
+  std::vector<std::uint32_t> live;
+  for (std::size_t e = 0; e < edges; ++e) {
+    if (count[e] > 0) live.push_back(static_cast<std::uint32_t>(e));
+  }
+
+  // Every active flow has been raised by every round's h, so its rate is
+  // the running sum `level` (same additions, same order) and a frozen
+  // flow's rate is the level at its freeze.
+  double level = 0.0;
+  const auto freeze = [&](std::uint32_t f, graphs::EdgeId edge) {
+    active[f] = 0;
+    --active_flows;
+    out.rate_bps[f] = level;
+    out.bottleneck_edge[f] = edge;
+    for (const graphs::EdgeId eid : flow_edges[f]) --count[eid];
   };
 
-  std::vector<std::uint32_t> freeze;
-  const std::size_t cutoff = std::max<std::size_t>(1, options.parallel_cutoff);
+  std::vector<std::uint32_t> saturated;
   while (active_flows > 0) {
     ++out.rounds;
     CISP_REQUIRE(out.rounds <= flows + edges + 1,
                  "progressive filling failed to converge");
 
     // The next event: an edge saturates or a flow reaches its demand.
-    const double h_edge = sharded_min(
-        pool.get(), cutoff, edges, [&](std::size_t e) {
-          return count[e] > 0 ? cap_rem[e] / static_cast<double>(count[e])
-                              : kInf;
-        });
-    const double h_demand = sharded_min(
-        pool.get(), cutoff, flows, [&](std::size_t f) {
-          return active[f] ? demand_bps[f] - out.rate_bps[f] : kInf;
-        });
+    // Edges whose flows all froze leave the live list here. The smallest
+    // remaining demand gives the smallest gap: rounded subtraction is
+    // monotone.
+    double h_edge = kInf;
+    std::size_t kept = 0;
+    for (const std::uint32_t e : live) {
+      if (count[e] == 0) continue;
+      live[kept++] = e;
+      h_edge = std::min(h_edge, cap_rem[e] / static_cast<double>(count[e]));
+    }
+    live.resize(kept);
+    while (!active[by_demand[next]]) ++next;
+    const double h_demand = demand_bps[by_demand[next]] - level;
     const double h = std::max(0.0, std::min(h_edge, h_demand));
     CISP_REQUIRE(h < kInf, "active flow with no constraining edge or demand");
 
-    // Raise the water level: per-slot writes, deterministic at any
-    // thread count.
-    sharded_apply(pool.get(), cutoff, flows, [&](std::size_t f) {
-      if (active[f]) out.rate_bps[f] += h;
-    });
-    sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
-      if (count[e] > 0) cap_rem[e] -= h * static_cast<double>(count[e]);
-    });
-
-    // Freeze bottlenecked flows (edges in index order, then their flows in
-    // incidence order) and demand-capped flows (flow index order). The
-    // mutation of `count` is serial so shared edges decrement exactly once
-    // per frozen flow.
-    freeze.clear();
-    for (std::size_t e = 0; e < edges; ++e) {
-      if (!saturated(e)) continue;
-      ++out.bottleneck_edges;
-      freeze.insert(freeze.end(), edge_flows[e].begin(), edge_flows[e].end());
+    // Raise the water level. Saturation slack is relative to each edge's
+    // capacity so Gbps-scale links and unit-test-scale links both converge.
+    // Every saturated edge is collected before any flow freezes: freezing
+    // can empty a later saturated edge, which still counts as a
+    // bottleneck this round.
+    level += h;
+    saturated.clear();
+    for (const std::uint32_t e : live) {
+      cap_rem[e] -= h * static_cast<double>(count[e]);
+      if (cap_rem[e] <= view.capacity_bps[e] * 1e-9) saturated.push_back(e);
     }
-    for (std::size_t f = 0; f < flows; ++f) {
-      if (active[f] && demand_met(f)) {
-        freeze.push_back(static_cast<std::uint32_t>(f));
+    out.bottleneck_edges += saturated.size();
+
+    // Freeze bottlenecked flows (each at its lowest-index saturated edge),
+    // then demand-capped ones. Only flows with demand <= level * (1 + 1e-9)
+    // can meet the exact test below, and they lead `by_demand` from `next`.
+    const std::size_t before = active_flows;
+    for (const std::uint32_t e : saturated) {
+      for (const std::uint32_t f : edge_flows[e]) {
+        if (active[f]) freeze(f, e);
       }
     }
-    CISP_REQUIRE(!freeze.empty(), "round froze no flow");
-    for (const std::uint32_t f : freeze) {
-      if (!active[f]) continue;
-      active[f] = 0;
-      --active_flows;
-      for (const graphs::EdgeId eid : flow_edges[f]) --count[eid];
+    const double reach = level * (1.0 + 1e-9);
+    for (std::size_t i = next; i < by_demand.size(); ++i) {
+      const std::uint32_t f = by_demand[i];
+      const double demand = demand_bps[f];
+      if (demand > reach) break;
+      if (active[f] && demand - level <= demand * 1e-12) {
+        freeze(f, kNoBottleneck);
+      }
     }
+    CISP_REQUIRE(active_flows < before, "round froze no flow");
   }
 
   // Edge loads from the final rates: per-edge sums over incidence lists in
-  // list order — independent writes, deterministic.
-  sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
+  // list order.
+  for (std::size_t e = 0; e < edges; ++e) {
     double load = 0.0;
     for (const std::uint32_t f : edge_flows[e]) load += out.rate_bps[f];
     out.edge_load_bps[e] = load;
-  });
+  }
   out.fill_rounds = out.rounds;
   static obs::Counter& round_counter = obs::counter("flow.max_min.rounds");
   round_counter.add(out.rounds);

@@ -7,14 +7,20 @@
 // flow reaches its offered demand, freeze it too (demand-capped max-min).
 // Terminates after at most flows + edges rounds.
 //
-// Determinism contract (mirrors the design solvers): the returned
-// allocation is byte-identical for EVERY thread count. The sharded pieces
-// are exact-min reductions (chunk minima merged serially) and
-// independent per-slot writes — no floating-point accumulation ever
-// depends on chunk boundaries.
+// The fill is event-driven. Every unfrozen flow sits exactly at the
+// running water level (the same sum of round increments), so no round
+// touches the flows: the next demand event is the smallest unfrozen
+// demand in a once-sorted list, and a frozen flow's rate is the level at
+// its freeze. The edge side runs over a compacted list of edges that an
+// unfrozen flow still crosses. Cost: O(F log F) for the sort, plus
+// O(rounds x live edges) for the per-round edge passes, plus
+// O(sum of path lengths) for incidence, freezing and the final loads.
+// The fill is serial (no sharding) and deterministic: it reproduces the
+// round-by-round fill's bytes, rounds and bottleneck count exactly.
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -47,20 +53,21 @@ struct WarmState {
 };
 
 struct AllocatorOptions {
-  /// Worker threads for the sharded allocation rounds. 1 = fully serial
-  /// (no pool is ever constructed); 0 = engine::default_thread_count().
-  std::size_t threads = 1;
-  /// Below this flow count the rounds run serially even with a pool —
-  /// queue traffic would cost more than it buys.
-  std::size_t parallel_cutoff = 4096;
   /// Optional warm state carried across solves (nullptr = cold start).
   /// Must outlive the call; the allocator updates it in place.
   WarmState* warm = nullptr;
 };
 
+/// Allocation::bottleneck_edge entry of a flow that no edge froze: it was
+/// demand-capped, offered nothing, or (after scatter_served) denied.
+inline constexpr graphs::EdgeId kNoBottleneck =
+    std::numeric_limits<graphs::EdgeId>::max();
+
 struct Allocation {
   /// Max-min fair rate per flow (same order as the input paths), bps.
-  /// Never exceeds the flow's offered demand.
+  /// Never exceeds the flow's offered demand beyond rounding: a
+  /// demand-capped flow takes the water level, which can land an ulp
+  /// above its demand.
   std::vector<double> rate_bps;
   /// Allocated load per graph edge, bps (sum of its flows' rates).
   std::vector<double> edge_load_bps;
@@ -70,6 +77,12 @@ struct Allocation {
   std::size_t rounds = 0;
   /// Edges that saturated and froze at least one flow.
   std::size_t bottleneck_edges = 0;
+  /// Per flow, the lowest-index saturated edge that froze it, or
+  /// kNoBottleneck when no edge did (the flow reached its demand). Filled by
+  /// max_min_allocate (and alpha-fair's max-min dispatch) only: alpha-fair
+  /// results below kMaxMinAlpha and pair-grain folds of subflow
+  /// allocations leave it empty.
+  std::vector<graphs::EdgeId> bottleneck_edge;
   /// Dual-ascent price iterations (alpha-fair only; 0 for pure max-min).
   std::size_t dual_iterations = 0;
   /// Progressive-filling rounds (max-min itself, or the alpha-fair
@@ -86,6 +99,12 @@ struct Allocation {
     const SimTopologyView& view, const std::vector<graphs::Path>& paths,
     const std::vector<double>& demand_bps,
     const AllocatorOptions& options = {});
+
+/// Scatters an allocation over the served subset of `pairs` flows back
+/// to full flow order: flow served[i] takes entry i, and every other flow
+/// gets rate 0 and kNoBottleneck. Edge loads and counters pass through.
+void scatter_served(Allocation& allocation,
+                    const std::vector<std::size_t>& served, std::size_t pairs);
 
 namespace detail {
 

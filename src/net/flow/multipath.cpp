@@ -51,6 +51,7 @@ Allocation fold_subflows(const SubflowExpansion& expansion,
                "subflow allocation does not match the expansion");
   Allocation out = subflow_allocation;
   out.rate_bps.assign(expansion.pair_count, 0.0);
+  out.bottleneck_edge.clear();
   for (std::size_t s = 0; s < expansion.paths.size(); ++s) {
     out.rate_bps[expansion.pair_of[s]] += subflow_allocation.rate_bps[s];
   }

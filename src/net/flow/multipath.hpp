@@ -52,7 +52,8 @@ struct SubflowExpansion {
 
 /// Folds a subflow allocation back to pair grain: per-pair rate is the
 /// sum of the pair's subflow rates; edge loads and round counters pass
-/// through unchanged.
+/// through unchanged. Bottleneck edges exist per subflow only, so the
+/// folded result's bottleneck_edge is empty.
 [[nodiscard]] Allocation fold_subflows(const SubflowExpansion& expansion,
                                        const Allocation& subflow_allocation);
 

@@ -151,19 +151,10 @@ EpochStats TimelineDriver::evaluate(
     allocation =
         flow::alpha_fair_allocate(view, alloc_paths, rates, weights, elastic);
   } else {
-    flow::AllocatorOptions alloc_options;
-    alloc_options.threads = options_.threads;
-    alloc_options.warm = warm;
-    allocation = flow::max_min_allocate(view, alloc_paths, rates,
-                                        alloc_options);
+    allocation =
+        flow::max_min_allocate(view, alloc_paths, rates, {.warm = warm});
   }
-  if (!all_served) {
-    std::vector<double> full_rates(pairs, 0.0);
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      full_rates[served[i]] = allocation.rate_bps[i];
-    }
-    allocation.rate_bps = std::move(full_rates);
-  }
+  if (!all_served) flow::scatter_served(allocation, served, pairs);
 
   outcomes = flow::pair_outcomes(view, paths, demands, allocation, direct_km_);
   const flow::FlowLevelStats stats =
@@ -200,12 +191,8 @@ EpochStats TimelineDriver::evaluate_multipath(
         view, expansion.paths, expansion.demand_bps, expansion.weights,
         elastic);
   } else {
-    flow::AllocatorOptions alloc_options;
-    alloc_options.threads = options_.threads;
-    alloc_options.warm = warm;
-    subflow_allocation = flow::max_min_allocate(view, expansion.paths,
-                                                expansion.demand_bps,
-                                                alloc_options);
+    subflow_allocation = flow::max_min_allocate(
+        view, expansion.paths, expansion.demand_bps, {.warm = warm});
   }
 
   outcomes = flow::multipath_pair_outcomes(view, expansion, demands,

@@ -86,8 +86,9 @@ struct TimelineOptions {
   /// Flow (max-min) or Elastic (alpha-fair); Packet is rejected.
   TrafficBackend backend = TrafficBackend::Flow;
   double alpha = 1.0;
-  /// Allocator + repair sharding (1 = serial, 0 = all cores); outputs are
-  /// byte-identical for every value.
+  /// Alpha-fair, repair and TE sharding (1 = serial, 0 = all cores; the
+  /// max-min allocator is always serial); outputs are byte-identical for
+  /// every value.
   std::size_t threads = 1;
   /// An epoch counts toward a pair's availability when
   /// delivered >= served_frac * offered.

@@ -361,19 +361,10 @@ class FluidTrafficModel final : public TrafficModel {
       allocation = flow::alpha_fair_allocate(topo.view, alloc_paths, rates,
                                              weights, elastic);
     } else {
-      flow::AllocatorOptions alloc_options;
-      alloc_options.threads = options.threads;
-      allocation =
-          flow::max_min_allocate(topo.view, alloc_paths, rates,
-                                 alloc_options);
+      allocation = flow::max_min_allocate(topo.view, alloc_paths, rates);
     }
     if (!all_served) {
-      // Scatter the sub-allocation back to full pair order.
-      std::vector<double> full_rates(demands.pairs().size(), 0.0);
-      for (std::size_t i = 0; i < served.size(); ++i) {
-        full_rates[served[i]] = allocation.rate_bps[i];
-      }
-      allocation.rate_bps = std::move(full_rates);
+      flow::scatter_served(allocation, served, demands.pairs().size());
     }
 
     TrafficReport report;
@@ -452,10 +443,8 @@ class FluidTrafficModel final : public TrafficModel {
                                             expansion.demand_bps,
                                             expansion.weights, elastic);
     } else {
-      flow::AllocatorOptions alloc_options;
-      alloc_options.threads = options.threads;
       sub_alloc = flow::max_min_allocate(view, expansion.paths,
-                                         expansion.demand_bps, alloc_options);
+                                         expansion.demand_bps);
     }
 
     TrafficReport report;

@@ -53,8 +53,9 @@ struct TrafficRunOptions {
   double sim_duration_s = 0.3;
   double drain_s = 0.2;
   std::uint64_t seed = 0;
-  /// Fluid backends: allocator sharding (1 = serial; 0 = all cores; the
-  /// allocation is byte-identical for every value). The packet backend
+  /// Elastic backend: alpha-fair sharding (1 = serial; 0 = all cores; the
+  /// allocation is byte-identical for every value; the max-min allocator
+  /// is always serial). The packet backend
   /// uses the same knob to size the executor its shards run on.
   std::size_t threads = 1;
   /// Packet backend: shard simulator count for edge-disjoint flow groups

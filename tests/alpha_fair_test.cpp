@@ -222,7 +222,7 @@ TEST(AlphaFair, InfiniteAlphaDispatchesToMaxMinExactly) {
 // ---------------------------------------------------------------------------
 
 TEST(AlphaFair, AllocationsAreByteIdenticalAcrossThreadCounts) {
-  // The same random instance as the max-min invariance test; the pool is
+  // The same random instance as the max-min oracle test; the pool is
   // forced on via parallel_cutoff = 1 so every sharded piece really runs
   // sharded at threads > 1.
   const std::size_t n = 24;
@@ -269,6 +269,8 @@ TEST(AlphaFair, AllocationsAreByteIdenticalAcrossThreadCounts) {
   const auto baseline =
       flow::alpha_fair_allocate(view, routes.paths, rates, weights, serial);
   EXPECT_GT(baseline.rounds, 1u);
+  // Per-flow bottleneck edges are a max-min explanation only.
+  EXPECT_TRUE(baseline.bottleneck_edge.empty());
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
                                     std::size_t{0}}) {
     flow::ElasticOptions options;

@@ -1,13 +1,19 @@
 // Tests for the flow-level traffic backend: DemandMatrix aggregation and
 // user apportionment, max-min fair allocation on hand-computed topologies
-// (single bottleneck, parking lot, demand caps), thread-count invariance
-// of the allocator (byte-identical rates), and the packet-vs-flow
-// fidelity contract on a small instance.
+// (single bottleneck, parking lot, demand caps), byte identity of the
+// event-driven fill against a test-only round-by-round reference fill
+// (plus a golden checksum), its max-min certificate, and the
+// packet-vs-flow fidelity contract on a small instance.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/builder.hpp"
@@ -45,13 +51,12 @@ SimTopologyView chain_view(const std::vector<double>& caps_bps) {
 }
 
 flow::Allocation allocate(const SimTopologyView& view,
-                          const std::vector<TrafficDemand>& demands,
-                          const flow::AllocatorOptions& options = {}) {
+                          const std::vector<TrafficDemand>& demands) {
   const RoutingResult routes =
       compute_routes(view, demands, RoutingScheme::ShortestPath);
   std::vector<double> rates;
   for (const auto& d : demands) rates.push_back(d.rate_bps);
-  return flow::max_min_allocate(view, routes.paths, rates, options);
+  return flow::max_min_allocate(view, routes.paths, rates);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,13 +190,192 @@ TEST(MaxMin, ZeroDemandFlowsStayAtZero) {
   EXPECT_NEAR(allocation.rate_bps[1], 5e9, 1.0);
 }
 
-TEST(MaxMin, AllocationsAreByteIdenticalAcrossThreadCounts) {
-  // A larger random instance; the pool is forced on via parallel_cutoff=1
-  // so chunked reductions actually run sharded at threads > 1.
-  const std::size_t n = 24;
+TEST(MaxMin, InfiniteDemandIsUnbounded) {
+  const auto view = chain_view({6e9});
+  const std::vector<TrafficDemand> demands = {
+      {0, 1, std::numeric_limits<double>::infinity()}, {0, 1, 1e9}};
+  const auto allocation = allocate(view, demands);
+  EXPECT_NEAR(allocation.rate_bps[0], 5e9, 1.0);
+  EXPECT_NEAR(allocation.rate_bps[1], 1e9, 1.0);
+  EXPECT_EQ(allocation.bottleneck_edge[0], 0u);
+  EXPECT_EQ(allocation.bottleneck_edge[1], flow::kNoBottleneck);
+}
+
+TEST(MaxMin, RejectsNanDemandAndNanOrNegativeCapacity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto view = chain_view({10e9});
+  EXPECT_THROW((void)allocate(view, {{0, 1, nan}, {0, 1, 1e9}}), cisp::Error);
+
+  auto nan_cap = chain_view({10e9});
+  nan_cap.capacity_bps[1] = nan;  // an edge no flow crosses still counts
+  EXPECT_THROW((void)allocate(nan_cap, {{0, 1, 1e9}}), cisp::Error);
+
+  auto negative_cap = chain_view({10e9});
+  negative_cap.capacity_bps[0] = -1.0;
+  EXPECT_THROW((void)allocate(negative_cap, {{0, 1, 1e9}}), cisp::Error);
+}
+
+TEST(MaxMin, ScatterServedRestoresFullFlowOrder) {
+  const auto view = chain_view({4e9});
+  auto allocation = allocate(view, {{0, 1, 10e9}, {0, 1, 1e9}});
+  flow::scatter_served(allocation, {1, 3}, 4);
+  EXPECT_EQ(allocation.rate_bps,
+            (std::vector<double>{0.0, 3e9, 0.0, 1e9}));
+  EXPECT_EQ(allocation.bottleneck_edge,
+            (std::vector<graphs::EdgeId>{flow::kNoBottleneck, 0,
+                                         flow::kNoBottleneck,
+                                         flow::kNoBottleneck}));
+}
+
+// ---------------------------------------------------------------------------
+// Max-min reference oracle
+// ---------------------------------------------------------------------------
+
+/// The round-by-round progressive fill the event-driven allocator
+/// replaced, kept serial and test-only: every round takes the minimum
+/// over all edges and all flows, raises every active flow's rate, and
+/// freezes the flows of every saturated edge (in edge index order) and
+/// every demand-capped flow (in flow index order). max_min_allocate must
+/// reproduce its bytes, rounds and bottleneck counts exactly.
+flow::Allocation reference_fill(const SimTopologyView& view,
+                                const std::vector<graphs::Path>& paths,
+                                const std::vector<double>& demand_bps) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t flows = paths.size();
+  const std::size_t edges = view.latency_graph.edge_count();
+  std::vector<std::vector<graphs::EdgeId>> flow_edges(flows);
+  std::vector<std::vector<std::uint32_t>> edge_flows(edges);
+  for (std::size_t f = 0; f < flows; ++f) {
+    flow_edges[f] = path_edges(view.latency_graph, paths[f]);
+    for (const graphs::EdgeId eid : flow_edges[f]) {
+      edge_flows[eid].push_back(static_cast<std::uint32_t>(f));
+    }
+  }
+
+  flow::Allocation out;
+  out.rate_bps.assign(flows, 0.0);
+  out.edge_load_bps.assign(edges, 0.0);
+  out.bottleneck_edge.assign(flows, flow::kNoBottleneck);
+
+  std::vector<char> active(flows, 1);
+  std::vector<double> cap_rem = view.capacity_bps;
+  std::vector<std::size_t> count(edges, 0);
+  std::size_t active_flows = 0;
+  for (std::size_t f = 0; f < flows; ++f) {
+    if (demand_bps[f] <= 0.0) {
+      active[f] = 0;
+      continue;
+    }
+    ++active_flows;
+    for (const graphs::EdgeId eid : flow_edges[f]) ++count[eid];
+  }
+  const auto saturated = [&](std::size_t e) {
+    return count[e] > 0 && cap_rem[e] <= view.capacity_bps[e] * 1e-9;
+  };
+  const auto demand_met = [&](std::size_t f) {
+    return demand_bps[f] - out.rate_bps[f] <= demand_bps[f] * 1e-12;
+  };
+
+  // (flow, freezing edge or kNoBottleneck) in freeze order.
+  std::vector<std::pair<std::uint32_t, graphs::EdgeId>> freeze;
+  while (active_flows > 0) {
+    ++out.rounds;
+    if (out.rounds > flows + edges + 1) throw cisp::Error("no convergence");
+    double h_edge = kInf;
+    for (std::size_t e = 0; e < edges; ++e) {
+      h_edge = std::min(h_edge, count[e] > 0 ? cap_rem[e] /
+                                                   static_cast<double>(count[e])
+                                             : kInf);
+    }
+    double h_demand = kInf;
+    for (std::size_t f = 0; f < flows; ++f) {
+      h_demand = std::min(
+          h_demand, active[f] ? demand_bps[f] - out.rate_bps[f] : kInf);
+    }
+    const double h = std::max(0.0, std::min(h_edge, h_demand));
+    if (!(h < kInf)) throw cisp::Error("unconstrained flow");
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (active[f]) out.rate_bps[f] += h;
+    }
+    for (std::size_t e = 0; e < edges; ++e) {
+      if (count[e] > 0) cap_rem[e] -= h * static_cast<double>(count[e]);
+    }
+
+    freeze.clear();
+    for (std::size_t e = 0; e < edges; ++e) {
+      if (!saturated(e)) continue;
+      ++out.bottleneck_edges;
+      for (const std::uint32_t f : edge_flows[e]) {
+        freeze.emplace_back(f, static_cast<graphs::EdgeId>(e));
+      }
+    }
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (active[f] && demand_met(f)) {
+        freeze.emplace_back(static_cast<std::uint32_t>(f),
+                            flow::kNoBottleneck);
+      }
+    }
+    if (freeze.empty()) throw cisp::Error("round froze no flow");
+    for (const auto& [f, edge] : freeze) {
+      if (!active[f]) continue;
+      active[f] = 0;
+      --active_flows;
+      out.bottleneck_edge[f] = edge;
+      for (const graphs::EdgeId eid : flow_edges[f]) --count[eid];
+    }
+  }
+  for (std::size_t e = 0; e < edges; ++e) {
+    double load = 0.0;
+    for (const std::uint32_t f : edge_flows[e]) load += out.rate_bps[f];
+    out.edge_load_bps[e] = load;
+  }
+  out.fill_rounds = out.rounds;
+  return out;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Runs both fills and byte-compares everything the allocator reports.
+void expect_matches_reference(const SimTopologyView& view,
+                              const std::vector<graphs::Path>& paths,
+                              const std::vector<double>& demand_bps,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  // The reference froze a +inf demand after its first round (inf - rate
+  // <= inf * 1e-12 holds); the largest finite demand is the unbounded
+  // flow it never reaches.
+  std::vector<double> finite = demand_bps;
+  for (double& d : finite) {
+    if (std::isinf(d)) d = std::numeric_limits<double>::max();
+  }
+  const auto expected = reference_fill(view, paths, finite);
+  const auto actual = flow::max_min_allocate(view, paths, demand_bps);
+  EXPECT_TRUE(same_bytes(actual.rate_bps, expected.rate_bps));
+  EXPECT_TRUE(same_bytes(actual.edge_load_bps, expected.edge_load_bps));
+  EXPECT_EQ(actual.rounds, expected.rounds);
+  EXPECT_EQ(actual.fill_rounds, expected.fill_rounds);
+  EXPECT_EQ(actual.bottleneck_edges, expected.bottleneck_edges);
+  EXPECT_EQ(actual.bottleneck_edge, expected.bottleneck_edge);
+}
+
+struct Instance {
   SimTopologyView view;
-  view.latency_graph = graphs::Graph(n);
-  Rng rng(404);
+  std::vector<graphs::Path> paths;
+  std::vector<double> demand_bps;
+};
+
+/// A random duplex graph (a chain plus chords) with shortest-path routed
+/// flows. `extreme` mixes in zero, +inf and repeated demands plus a few
+/// zero-capacity links.
+Instance random_instance(std::uint64_t seed, std::size_t nodes,
+                         int chords, int flows, bool extreme) {
+  Instance inst;
+  SimTopologyView& view = inst.view;
+  view.latency_graph = graphs::Graph(nodes);
+  Rng rng(seed);
   const auto add_duplex = [&](std::size_t a, std::size_t b, double cap) {
     view.latency_graph.add_edge(static_cast<graphs::NodeId>(a),
                                 static_cast<graphs::NodeId>(b),
@@ -204,50 +388,180 @@ TEST(MaxMin, AllocationsAreByteIdenticalAcrossThreadCounts) {
     view.edge_to_link.push_back(view.edge_to_link.size());
     view.capacity_bps.push_back(cap);
   };
-  for (std::size_t i = 0; i + 1 < n; ++i) {
+  for (std::size_t i = 0; i + 1 < nodes; ++i) {
     add_duplex(i, i + 1, rng.uniform(1e9, 5e9));
   }
-  for (int chord = 0; chord < 20; ++chord) {
-    const std::size_t a = rng.uniform_index(n);
-    const std::size_t b = rng.uniform_index(n);
-    if (a != b) add_duplex(a, b, rng.uniform(1e9, 5e9));
+  for (int chord = 0; chord < chords; ++chord) {
+    const std::size_t a = rng.uniform_index(nodes);
+    const std::size_t b = rng.uniform_index(nodes);
+    if (a == b) continue;
+    const bool dead = extreme && rng.uniform() < 0.1;
+    add_duplex(a, b, dead ? 0.0 : rng.uniform(1e9, 5e9));
   }
   std::vector<TrafficDemand> demands;
-  for (int f = 0; f < 600; ++f) {
-    const auto a = static_cast<std::uint32_t>(rng.uniform_index(n));
-    const auto b = static_cast<std::uint32_t>(rng.uniform_index(n));
+  for (int f = 0; f < flows; ++f) {
+    const auto a = static_cast<std::uint32_t>(rng.uniform_index(nodes));
+    const auto b = static_cast<std::uint32_t>(rng.uniform_index(nodes));
     if (a == b) continue;
-    demands.push_back({a, b, rng.uniform(1e7, 5e8)});
+    double rate = rng.uniform(1e7, 5e8);
+    if (extreme) {
+      const double pick = rng.uniform();
+      if (pick < 0.05) rate = 0.0;
+      else if (pick < 0.1) rate = std::numeric_limits<double>::infinity();
+      else if (pick < 0.3) rate = 1e8;  // ties
+    }
+    demands.push_back({a, b, rate});
   }
+  inst.paths = compute_routes(view, demands, RoutingScheme::ShortestPath).paths;
+  for (const auto& d : demands) inst.demand_bps.push_back(d.rate_bps);
+  return inst;
+}
 
+/// checksum() of the 600-flow seed-404 instance, computed with the
+/// round-by-round allocator before the event-driven rewrite.
+constexpr std::uint64_t kGoldenChecksum600 = 0xe5060915f84daab8ULL;
+
+/// FNV-1a over the bytes of an allocation's rates, loads and counters.
+std::uint64_t checksum(const flow::Allocation& allocation) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix_bytes = [&](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix_bytes(allocation.rate_bps.data(),
+            allocation.rate_bps.size() * sizeof(double));
+  mix_bytes(allocation.edge_load_bps.data(),
+            allocation.edge_load_bps.size() * sizeof(double));
+  const std::uint64_t counters[] = {allocation.rounds,
+                                    allocation.bottleneck_edges};
+  mix_bytes(counters, sizeof(counters));
+  return h;
+}
+
+TEST(MaxMinOracle, SixHundredFlowInstanceMatchesReferenceAndGolden) {
+  const auto inst = random_instance(404, 24, 20, 600, /*extreme=*/false);
+  expect_matches_reference(inst.view, inst.paths, inst.demand_bps, "seed 404");
+  const auto allocation =
+      flow::max_min_allocate(inst.view, inst.paths, inst.demand_bps);
+  EXPECT_GT(allocation.rounds, 1u);
+  // Pinned from the round-by-round allocator this one replaced.
+  EXPECT_EQ(checksum(allocation), kGoldenChecksum600);
+}
+
+TEST(MaxMinOracle, RandomInstancesMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const bool extreme = seed % 2 == 0;
+    const auto inst = random_instance(seed * 7919, 8 + seed * 3,
+                                      static_cast<int>(4 * seed),
+                                      static_cast<int>(60 * seed), extreme);
+    expect_matches_reference(inst.view, inst.paths, inst.demand_bps,
+                             "seed " + std::to_string(seed));
+  }
+}
+
+TEST(MaxMinOracle, NestedEdgesSaturatingInOneRoundBothCount) {
+  // Edge 0 (0->1, 2 Gbps) carries {x, y}; edge 2 (1->2, 1 Gbps) carries
+  // {y}, a subset. Both saturate at h = 1 Gbps in round 1. Freezing x and
+  // y at edge 0 empties edge 2, which must still count as a bottleneck.
+  const auto view = chain_view({2e9, 1e9});
+  const std::vector<TrafficDemand> demands = {{0, 1, 10e9}, {0, 2, 10e9}};
+  const auto allocation = allocate(view, demands);
+  EXPECT_EQ(allocation.rounds, 1u);
+  EXPECT_EQ(allocation.bottleneck_edges, 2u);
+  EXPECT_EQ(allocation.bottleneck_edge,
+            (std::vector<graphs::EdgeId>{0, 0}));
   const RoutingResult routes =
       compute_routes(view, demands, RoutingScheme::ShortestPath);
-  std::vector<double> rates;
-  for (const auto& d : demands) rates.push_back(d.rate_bps);
+  expect_matches_reference(view, routes.paths, {10e9, 10e9}, "nested");
+}
 
-  flow::AllocatorOptions serial;
-  serial.threads = 1;
-  const auto baseline = flow::max_min_allocate(view, routes.paths, rates,
-                                               serial);
-  EXPECT_GT(baseline.rounds, 1u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                    std::size_t{0}}) {
-    flow::AllocatorOptions options;
-    options.threads = threads;
-    options.parallel_cutoff = 1;
-    const auto parallel =
-        flow::max_min_allocate(view, routes.paths, rates, options);
-    ASSERT_EQ(parallel.rate_bps.size(), baseline.rate_bps.size());
-    EXPECT_EQ(std::memcmp(parallel.rate_bps.data(), baseline.rate_bps.data(),
-                          baseline.rate_bps.size() * sizeof(double)),
-              0)
-        << "rates differ at threads=" << threads;
-    EXPECT_EQ(std::memcmp(parallel.edge_load_bps.data(),
-                          baseline.edge_load_bps.data(),
-                          baseline.edge_load_bps.size() * sizeof(double)),
-              0)
-        << "edge loads differ at threads=" << threads;
-    EXPECT_EQ(parallel.rounds, baseline.rounds);
+TEST(MaxMinOracle, CraftedEdgeCasesMatchReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* label;
+    std::vector<double> caps;
+    std::vector<TrafficDemand> demands;
+  };
+  const std::vector<Case> cases = {
+      {"equal demands", {10e9, 10e9},
+       {{0, 1, 2e9}, {0, 2, 2e9}, {1, 2, 2e9}, {0, 2, 2e9}}},
+      // Edge 0 saturates at h = 3 Gbps exactly when the 1->2 flow meets
+      // its 3 Gbps demand.
+      {"demand cap with saturation", {9e9, 10e9},
+       {{0, 1, 5e9}, {0, 1, 5e9}, {0, 1, 5e9}, {1, 2, 3e9}}},
+      {"zero and infinite demands", {4e9, 6e9},
+       {{0, 2, inf}, {0, 1, 0.0}, {1, 2, inf}, {0, 1, 1e9}}},
+      // A zero-capacity link freezes its flow in an h = 0 round.
+      {"zero capacity", {0.0, 5e9}, {{0, 1, 1e9}, {1, 2, 2e9}}},
+      // Demands one ulp apart: the level reaches the lower one and the
+      // relative slack freezes both in the same round.
+      {"one-ulp demands", {1e9 / 3.0 * 7.0, 10e9},
+       {{0, 1, 10e9}, {0, 1, 10e9}, {0, 1, 10e9}, {1, 2, 1e9 / 3.0},
+        {1, 2, std::nextafter(1e9 / 3.0, inf)},
+        {0, 2, std::nextafter(1e9 / 3.0 * 2.0, 0.0)}}},
+      // Round 1 leaves level L = 139138561.3208747; round 2 adds the
+      // rounded gap d - L and overshoots d by one ulp.
+      {"one-ulp level overshoot", {139138561.3208747, 10e9},
+       {{0, 1, 10e9}, {1, 2, 4975920572.2678175}}},
+  };
+  for (const auto& c : cases) {
+    const auto view = chain_view(c.caps);
+    const RoutingResult routes =
+        compute_routes(view, c.demands, RoutingScheme::ShortestPath);
+    std::vector<double> rates;
+    for (const auto& d : c.demands) rates.push_back(d.rate_bps);
+    expect_matches_reference(view, routes.paths, rates, c.label);
+  }
+
+  const auto overshoot =
+      allocate(chain_view({139138561.3208747, 10e9}),
+               {{0, 1, 10e9}, {1, 2, 4975920572.2678175}});
+  EXPECT_EQ(overshoot.rounds, 2u);
+  EXPECT_EQ(overshoot.rate_bps[1], std::nextafter(4975920572.2678175, inf));
+  EXPECT_EQ(overshoot.bottleneck_edge[1], flow::kNoBottleneck);
+}
+
+TEST(MaxMinOracle, BottleneckEdgesCertifyMaxMinFairness) {
+  // The max-min certificate: a link-capped flow's edge is saturated and
+  // the flow has the largest rate on it; every other flow has its demand.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto inst = random_instance(seed * 104729, 16, 12, 300,
+                                      /*extreme=*/seed % 2 == 0);
+    const auto allocation =
+        flow::max_min_allocate(inst.view, inst.paths, inst.demand_bps);
+    ASSERT_EQ(allocation.bottleneck_edge.size(), inst.paths.size());
+    std::vector<std::vector<std::size_t>> on_edge(
+        inst.view.capacity_bps.size());
+    for (std::size_t f = 0; f < inst.paths.size(); ++f) {
+      for (const graphs::EdgeId e :
+           path_edges(inst.view.latency_graph, inst.paths[f])) {
+        on_edge[e].push_back(f);
+      }
+    }
+    for (std::size_t f = 0; f < inst.paths.size(); ++f) {
+      const double rate = allocation.rate_bps[f];
+      const double demand = inst.demand_bps[f];
+      const graphs::EdgeId e = allocation.bottleneck_edge[f];
+      if (e == flow::kNoBottleneck) {
+        EXPECT_NEAR(rate, std::max(0.0, demand), demand * 1e-12)
+            << "seed " << seed << " flow " << f;
+        continue;
+      }
+      ASSERT_LT(e, on_edge.size());
+      const double cap = inst.view.capacity_bps[e];
+      EXPECT_GE(allocation.edge_load_bps[e], cap * (1.0 - 1e-9))
+          << "seed " << seed << " edge " << e << " not saturated";
+      EXPECT_NE(std::find(on_edge[e].begin(), on_edge[e].end(), f),
+                on_edge[e].end());
+      for (const std::size_t g : on_edge[e]) {
+        EXPECT_LE(allocation.rate_bps[g], rate)
+            << "seed " << seed << " flow " << g << " beats " << f;
+      }
+      EXPECT_LE(rate, demand * (1.0 + 1e-12));
+    }
   }
 }
 

@@ -166,13 +166,12 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
           touched_acc += static_cast<double>(repair.touched_pairs);
           denied_acc += static_cast<double>(repair.denied_pairs);
 
-          const auto paths = repairer.traffic_paths();
-          const auto factors = repairer.capacity_factors();
           net::TrafficRunOptions run_options;
           run_options.alpha = alpha;
-          run_options.plan = &base_plan;
-          run_options.paths = &paths;
-          run_options.capacity_factor = &factors;
+          run_options.plan = base_plan;
+          run_options.routes =
+              net::single_path_routes(repairer.traffic_paths());
+          run_options.capacity_factor = repairer.capacity_factors();
           const auto report = traffic_model->run(demands, run_options);
 
           Samples pair_stretch;

@@ -81,7 +81,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                                     instance.plan, build);
         net::TrafficRunOptions run_options;
         run_options.alpha = alpha;
-        run_options.plan = &link_plan;
+        run_options.plan = link_plan;
         return model->run(demands, run_options);
       },
       {.threads = ctx.threads});

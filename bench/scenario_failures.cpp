@@ -108,7 +108,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
         if (point.index("routing") == 0) {
           // Pinned: latency-shortest on the degraded plan (the PR 5
           // regression anchor).
-          run_options.plan = &outcome.plan;
+          run_options.plan = outcome.plan;
           cell.report = traffic_model->run(demands, run_options);
         } else {
           // Repaired: the control plane masks the failed links on the
@@ -129,11 +129,10 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
           const auto stats = repairer.apply(deltas);
           cell.detoured = stats.detoured_pairs;
           cell.denied = stats.denied_pairs;
-          const auto paths = repairer.traffic_paths();
-          const auto factors = repairer.capacity_factors();
-          run_options.plan = &base_plan;
-          run_options.paths = &paths;
-          run_options.capacity_factor = &factors;
+          run_options.plan = base_plan;
+          run_options.routes =
+              net::single_path_routes(repairer.traffic_paths());
+          run_options.capacity_factor = repairer.capacity_factors();
           cell.report = traffic_model->run(demands, run_options);
         }
         return cell;

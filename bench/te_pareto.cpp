@@ -110,7 +110,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
         Cell cell;
         switch (point.index("mode")) {
           case 0: {  // shortest: latency-shortest on the degraded plan
-            run_options.plan = &outcome.plan;
+            run_options.plan = outcome.plan;
             cell.report = model->run(demands, run_options);
             break;
           }
@@ -124,14 +124,14 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
             net::te::SplitOptions split_options;
             split_options.candidates.k_shortest = k_paths;
             split_options.candidates.max_stretch = max_stretch;
-            const net::te::SplitResult split = net::te::solve_splits(
+            net::te::SplitResult split = net::te::solve_splits(
                 view.view, demand_list, direct_km, split_options);
             cell.denied = split.denied_pairs;
             cell.split_pairs = split.split_pairs;
             cell.te_max_util = split.max_utilization;
-            run_options.plan = &base_plan;
-            run_options.route_set = &split.routes;
-            run_options.capacity_factor = &factors;
+            run_options.plan = base_plan;
+            run_options.routes = std::move(split.routes);
+            run_options.capacity_factor = std::move(factors);
             cell.report = model->run(demands, run_options);
             break;
           }
@@ -152,10 +152,10 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                 racer.race(repairer.routes(), repairer.link_state());
             cell.denied = race.failed_pairs;
             cell.recovered = race.recovered_pairs;
-            const auto paths = race.traffic_paths();
-            run_options.plan = &base_plan;
-            run_options.paths = &paths;
-            run_options.capacity_factor = &factors;
+            run_options.plan = base_plan;
+            run_options.routes =
+                net::single_path_routes(race.traffic_paths());
+            run_options.capacity_factor = std::move(factors);
             cell.report = model->run(demands, run_options);
             break;
           }

@@ -9,7 +9,7 @@
 //   rf/       Fresnel clearance, rain attenuation, fade margins
 //   infra/    cities, tower registry, fiber conduits (data substitutes)
 //   graph/    Dijkstra, k-shortest paths, max-flow, concurrent flow
-//   lp/       simplex + branch-and-bound MILP (Gurobi substitute)
+//   lp/       two-phase simplex (Gurobi substitute for the LP relaxations)
 //   design/   the paper's pipeline: hops -> links -> topology -> capacity
 //   net/      traffic backends behind the TrafficModel seam: packet-level
 //             discrete-event simulator (ns-3 substitute) + fluid flow-level
@@ -45,7 +45,7 @@
 #include "infra/databases.hpp"  // IWYU pragma: export
 #include "infra/fiber.hpp"      // IWYU pragma: export
 #include "infra/towers.hpp"     // IWYU pragma: export
-#include "lp/milp.hpp"          // IWYU pragma: export
+#include "lp/simplex.hpp"       // IWYU pragma: export
 #include "net/builder.hpp"      // IWYU pragma: export
 #include "net/control/candidate_racing.hpp"  // IWYU pragma: export
 #include "net/control/route_repair.hpp"      // IWYU pragma: export

@@ -1,8 +1,7 @@
 #pragma once
 // Dense two-phase primal simplex. Substitutes for the Gurobi LP engine in
 // the paper's Step 2 (§3.2): solves the flow-LP relaxation used by the
-// LP-rounding baseline, and serves as the relaxation engine inside the
-// branch-and-bound MILP solver.
+// LP-rounding baseline.
 //
 // Scope: problems up to a few thousand variables/constraints, which covers
 // the paper's small-instance regime (the paper itself reports that exact

@@ -76,7 +76,8 @@ struct RacingReport {
   /// Pairs racing fiber because their repaired route was denied.
   std::size_t recovered_pairs = 0;
 
-  /// Winner paths for TrafficRunOptions::paths (empty path = denied).
+  /// Winner paths, empty = denied (net::single_path_routes turns them
+  /// into TrafficRunOptions::routes).
   [[nodiscard]] std::vector<graphs::Path> traffic_paths() const;
 };
 

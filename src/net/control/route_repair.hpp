@@ -139,10 +139,11 @@ class RouteRepairer {
   /// removed — pair paths index into this graph).
   [[nodiscard]] const SimTopologyView& view() const { return topo_.view; }
 
-  /// Per-demand paths for TrafficRunOptions::paths (empty path = denied).
+  /// Per-demand paths, empty = denied (net::single_path_routes turns them
+  /// into TrafficRunOptions::routes).
   [[nodiscard]] std::vector<graphs::Path> traffic_paths() const;
-  /// Per-duplex-link capacity factors for TrafficRunOptions::
-  /// capacity_factor (0 for downed links).
+  /// Per-duplex-link capacity factors for
+  /// TrafficRunOptions::capacity_factor (0 for downed links).
   [[nodiscard]] std::vector<double> capacity_factors() const;
 
   /// The equivalence oracle: routes on the cumulative `state`, computed

@@ -40,6 +40,13 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
   CISP_REQUIRE(options.alpha > 0.0, "alpha must be positive");
   CISP_REQUIRE(weights.empty() || weights.size() == paths.size(),
                "weights must be empty or one per flow");
+  CISP_REQUIRE(view.capacity_bps.size() == view.latency_graph.edge_count(),
+               "view arrays inconsistent");
+  // An infinite capacity would make every normalized capacity NaN below.
+  for (const double cap : view.capacity_bps) {
+    CISP_REQUIRE(std::isfinite(cap) && cap >= 0.0,
+                 "edge capacity must be finite and non-negative (not NaN)");
+  }
 
   // The max-min limit: dispatch to the exact progressive-filling allocator
   // (weights vanish in the limit — w^(1/alpha) -> 1).
@@ -51,7 +58,6 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
                             static_cast<double>(paths.size()));
   const std::size_t flows = paths.size();
   const std::size_t edges = view.latency_graph.edge_count();
-  CISP_REQUIRE(view.capacity_bps.size() == edges, "view arrays inconsistent");
 
   std::unique_ptr<engine::Executor> pool;
   if (options.threads != 1 && flows >= options.parallel_cutoff) {

@@ -66,10 +66,11 @@ struct ElasticOptions {
 inline constexpr double kMaxMinAlpha = 64.0;
 
 /// Computes the weighted alpha-fair allocation of `demand_bps` flows over
-/// their (pinned) paths against the view's edge capacities. `weight_of[f]`
-/// scales flow f's utility (pass {} for unweighted); the elastic traffic
-/// backend weights each aggregated pair by its user count so fairness is
-/// per-user, not per-pair. Weights vanish in the alpha -> infinity limit
+/// their (pinned) paths against the view's edge capacities, which must be
+/// finite and non-negative (cisp::Error otherwise, at every alpha).
+/// `weights[f]` scales flow f's utility (pass {} for unweighted); the
+/// elastic traffic backend weights each aggregated pair by its user count
+/// so fairness is per-user, not per-pair. Weights vanish in the alpha -> infinity limit
 /// (w^(1/alpha) -> 1), matching the unweighted max-min dispatch.
 [[nodiscard]] Allocation alpha_fair_allocate(
     const SimTopologyView& view, const std::vector<graphs::Path>& paths,

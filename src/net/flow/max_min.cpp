@@ -76,22 +76,6 @@ void ensure_incidence(const SimTopologyView& view,
 
 }  // namespace detail
 
-void scatter_served(Allocation& allocation,
-                    const std::vector<std::size_t>& served,
-                    std::size_t pairs) {
-  std::vector<double> rates(pairs, 0.0);
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    rates[served[i]] = allocation.rate_bps[i];
-  }
-  allocation.rate_bps = std::move(rates);
-  if (allocation.bottleneck_edge.empty()) return;
-  std::vector<graphs::EdgeId> edges(pairs, kNoBottleneck);
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    edges[served[i]] = allocation.bottleneck_edge[i];
-  }
-  allocation.bottleneck_edge = std::move(edges);
-}
-
 Allocation max_min_allocate(const SimTopologyView& view,
                             const std::vector<graphs::Path>& paths,
                             const std::vector<double>& demand_bps,
@@ -104,7 +88,8 @@ Allocation max_min_allocate(const SimTopologyView& view,
   const std::size_t edges = view.latency_graph.edge_count();
   CISP_REQUIRE(view.capacity_bps.size() == edges, "view arrays inconsistent");
   for (const double cap : view.capacity_bps) {
-    CISP_REQUIRE(cap >= 0.0, "edge capacity must be non-negative (not NaN)");
+    CISP_REQUIRE(cap >= 0.0 && cap < kInf,
+                 "edge capacity must be finite and non-negative (not NaN)");
   }
   for (const double demand : demand_bps) {
     CISP_REQUIRE(!std::isnan(demand), "flow demand must not be NaN");

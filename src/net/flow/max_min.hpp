@@ -59,7 +59,7 @@ struct AllocatorOptions {
 };
 
 /// Allocation::bottleneck_edge entry of a flow that no edge froze: it was
-/// demand-capped, offered nothing, or (after scatter_served) denied.
+/// demand-capped or offered nothing.
 inline constexpr graphs::EdgeId kNoBottleneck =
     std::numeric_limits<graphs::EdgeId>::max();
 
@@ -91,7 +91,8 @@ struct Allocation {
 };
 
 /// Computes the demand-capped max-min fair allocation of `demand_bps`
-/// flows over their (pinned) paths against the view's edge capacities.
+/// flows over their (pinned) paths against the view's edge capacities,
+/// which must be finite and non-negative (cisp::Error otherwise).
 /// `paths[f]` must be routable; its edge sequence is taken from
 /// `paths[f].edges` when pinned (compute_routes pins them) and resolved
 /// via path_edges() otherwise.
@@ -99,12 +100,6 @@ struct Allocation {
     const SimTopologyView& view, const std::vector<graphs::Path>& paths,
     const std::vector<double>& demand_bps,
     const AllocatorOptions& options = {});
-
-/// Scatters an allocation over the served subset of `pairs` flows back
-/// to full flow order: flow served[i] takes entry i, and every other flow
-/// gets rate 0 and kNoBottleneck. Edge loads and counters pass through.
-void scatter_served(Allocation& allocation,
-                    const std::vector<std::size_t>& served, std::size_t pairs);
 
 namespace detail {
 

@@ -2,39 +2,9 @@
 
 #include <algorithm>
 
-#include "geo/latlon.hpp"
 #include "util/error.hpp"
 
 namespace cisp::net::flow {
-
-std::vector<PairOutcome> pair_outcomes(const SimTopologyView& view,
-                                       const std::vector<graphs::Path>& paths,
-                                       const DemandMatrix& demands,
-                                       const Allocation& allocation,
-                                       const DirectKmFn& direct_km) {
-  const auto& pairs = demands.pairs();
-  CISP_REQUIRE(paths.size() == pairs.size() &&
-                   allocation.rate_bps.size() == pairs.size(),
-               "paths/demands/allocation size mismatch");
-  std::vector<PairOutcome> out;
-  out.reserve(pairs.size());
-  for (std::size_t f = 0; f < pairs.size(); ++f) {
-    PairOutcome row;
-    row.src = pairs[f].src;
-    row.dst = pairs[f].dst;
-    row.users = pairs[f].users;
-    row.offered_bps = pairs[f].rate_bps;
-    row.delivered_bps = allocation.rate_bps[f];
-    for (const graphs::EdgeId eid : path_edges(view.latency_graph, paths[f])) {
-      row.latency_s += view.latency_graph.edge(eid).weight;
-    }
-    const double direct_s =
-        direct_km(row.src, row.dst) / geo::kSpeedOfLightKmPerS;
-    row.stretch = direct_s > 0.0 ? row.latency_s / direct_s : 1.0;
-    out.push_back(row);
-  }
-  return out;
-}
 
 FlowLevelStats summarize(const SimTopologyView& view,
                          const std::vector<PairOutcome>& outcomes,

@@ -49,13 +49,6 @@ struct PairOutcome {
   double stretch = 0.0;    ///< path latency / direct latency at c
 };
 
-/// Per-pair outcomes of an allocation over routed paths (same order as the
-/// demand matrix). `direct_km` supplies the stretch denominator.
-[[nodiscard]] std::vector<PairOutcome> pair_outcomes(
-    const SimTopologyView& view, const std::vector<graphs::Path>& paths,
-    const DemandMatrix& demands, const Allocation& allocation,
-    const DirectKmFn& direct_km);
-
 /// Aggregates pair outcomes + allocator loads into backend-comparable
 /// statistics.
 [[nodiscard]] FlowLevelStats summarize(

@@ -209,6 +209,16 @@ std::vector<graphs::EdgeId> path_edges(const graphs::Graph& graph,
   return edges;
 }
 
+MultipathRouteSet single_path_routes(std::vector<graphs::Path> paths) {
+  MultipathRouteSet routes;
+  routes.pair_paths.resize(paths.size());
+  for (std::size_t f = 0; f < paths.size(); ++f) {
+    if (paths[f].empty()) continue;
+    routes.pair_paths[f].push_back({std::move(paths[f]), 1.0});
+  }
+  return routes;
+}
+
 RoutingResult compute_routes(const SimTopologyView& view,
                              const std::vector<TrafficDemand>& demands,
                              RoutingScheme scheme) {

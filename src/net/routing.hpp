@@ -54,14 +54,22 @@ struct WeightedPath {
   double weight = 1.0;
 };
 
-/// Per-demand weighted route sets — the multipath counterpart of
-/// RoutingResult::paths, produced by the TE split optimizer
-/// (net/te/split.hpp) and consumed through TrafficRunOptions::route_set.
-/// An EMPTY per-pair list marks a denied pair (same convention as an
-/// empty path in the single-path override).
+/// Per-demand weighted route sets — the one route value the fluid
+/// backends accept (TrafficRunOptions::routes, the timeline's epochs).
+/// The TE split optimizer (net/te/split.hpp) emits them directly; single
+/// paths (shortest routing, repaired routes, racing winners) enter
+/// through single_path_routes(). An EMPTY per-pair list marks a denied
+/// pair: its demand is offered, never allocated, and delivers zero.
 struct MultipathRouteSet {
   std::vector<std::vector<WeightedPath>> pair_paths;
 };
+
+/// One path per demand as a route set: each non-empty path becomes its
+/// pair's only member at weight 1 (rate * 1.0 is exact, so a weight-1
+/// set realizes byte-identically to the path). An EMPTY path — a pair
+/// the control plane denied — becomes an empty set.
+[[nodiscard]] MultipathRouteSet single_path_routes(
+    std::vector<graphs::Path> paths);
 
 /// Resolves the graph-edge sequence of a path: the pinned `path.edges`
 /// when present, otherwise the minimum-weight arc between each

@@ -50,7 +50,7 @@ namespace cisp::net::te {
 
 struct SplitResult {
   /// Per-pair weighted route sets in demand order (weights sum to 1;
-  /// empty = denied). Feed to TrafficRunOptions::route_set.
+  /// empty = denied). Feed to TrafficRunOptions::routes.
   MultipathRouteSet routes;
   /// Predicted max link utilization at offered load under the final
   /// (post-rounding) weights, over positive-capacity edges.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "net/flow/multipath.hpp"
 #include "obs/metrics.hpp"
@@ -107,113 +108,30 @@ std::vector<double> TimelineDriver::epoch_link_factors(
 }
 
 EpochStats TimelineDriver::evaluate(
-    const SimTopologyView& view, const std::vector<graphs::Path>& paths,
+    const SimTopologyView& view, MultipathRouteSet routes,
     const flow::DemandMatrix& demands, std::size_t epoch_index,
     double utc_hour, double growth, flow::WarmState* warm,
     std::vector<flow::PairOutcome>& outcomes) const {
-  // Mirrors FluidTrafficModel::run's served-pair gather/scatter exactly:
-  // denied (empty-path) pairs are excluded from allocation and delivered
-  // zero, their offered demand still counts. Byte-identity with the
-  // TrafficModel seam is pinned in timeline_test.cpp.
-  const std::size_t pairs = demands.pairs().size();
-  std::vector<std::size_t> served;
-  served.reserve(pairs);
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    if (!paths[f].empty()) served.push_back(f);
-  }
-  const bool all_served = served.size() == pairs;
-
-  std::vector<double> rates;
-  rates.reserve(served.size());
-  std::vector<graphs::Path> served_paths;
-  if (!all_served) served_paths.reserve(served.size());
-  for (const std::size_t f : served) {
-    rates.push_back(demands.pairs()[f].rate_bps);
-    if (!all_served) served_paths.push_back(paths[f]);
-  }
-  const std::vector<graphs::Path>& alloc_paths =
-      all_served ? paths : served_paths;
-
-  flow::Allocation allocation;
-  if (served.empty()) {
-    allocation.edge_load_bps.assign(view.capacity_bps.size(), 0.0);
-  } else if (options_.backend == TrafficBackend::Elastic) {
-    std::vector<double> weights;
-    weights.reserve(served.size());
-    for (const std::size_t f : served) {
-      weights.push_back(static_cast<double>(
-          std::max<std::uint64_t>(1, demands.pairs()[f].users)));
-    }
-    flow::ElasticOptions elastic;
-    elastic.alpha = options_.alpha;
-    elastic.threads = options_.threads;
-    elastic.warm = warm;
-    allocation =
-        flow::alpha_fair_allocate(view, alloc_paths, rates, weights, elastic);
-  } else {
-    allocation =
-        flow::max_min_allocate(view, alloc_paths, rates, {.warm = warm});
-  }
-  if (!all_served) flow::scatter_served(allocation, served, pairs);
-
-  outcomes = flow::pair_outcomes(view, paths, demands, allocation, direct_km_);
-  const flow::FlowLevelStats stats =
-      flow::summarize(view, outcomes, allocation);
-  std::vector<char> denied(paths.size(), 0);
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    denied[f] = paths[f].empty() ? 1 : 0;
-  }
-  return finalize_row(denied, allocation, stats, epoch_index, utc_hour, growth,
-                      outcomes);
-}
-
-EpochStats TimelineDriver::evaluate_multipath(
-    const SimTopologyView& view, const MultipathRouteSet& routes,
-    const flow::DemandMatrix& demands, std::size_t epoch_index,
-    double utc_hour, double growth, flow::WarmState* warm,
-    std::vector<flow::PairOutcome>& outcomes) const {
-  // Subflow expansion realizes the split weights; denied pairs (empty
+  // The same realization FluidTrafficModel::run performs (byte-identity
+  // with the seam is pinned in timeline_test.cpp). Denied pairs (empty
   // route-set entries) expand to no subflows and deliver zero. The warm
-  // incidence is fingerprint-guarded, so split churn rebuilds it silently
-  // and unchanged splits reuse it across epochs.
-  const flow::SubflowExpansion expansion =
-      flow::expand_multipath(demands, routes);
-
-  flow::Allocation subflow_allocation;
-  if (expansion.paths.empty()) {
-    subflow_allocation.edge_load_bps.assign(view.capacity_bps.size(), 0.0);
-  } else if (options_.backend == TrafficBackend::Elastic) {
-    flow::ElasticOptions elastic;
-    elastic.alpha = options_.alpha;
-    elastic.threads = options_.threads;
-    elastic.warm = warm;
-    subflow_allocation = flow::alpha_fair_allocate(
-        view, expansion.paths, expansion.demand_bps, expansion.weights,
-        elastic);
-  } else {
-    subflow_allocation = flow::max_min_allocate(
-        view, expansion.paths, expansion.demand_bps, {.warm = warm});
+  // incidence is fingerprint-guarded, so route churn rebuilds it silently
+  // and unchanged routes reuse it across epochs.
+  std::size_t denied_count = 0;
+  for (const auto& set : routes.pair_paths) {
+    if (set.empty()) ++denied_count;
   }
+  flow::ElasticOptions elastic;
+  elastic.alpha = options_.backend == TrafficBackend::Elastic
+                      ? options_.alpha
+                      : std::numeric_limits<double>::infinity();
+  elastic.threads = options_.threads;
+  elastic.warm = warm;
+  flow::Realization realized =
+      flow::realize(view, demands, std::move(routes), elastic, direct_km_);
+  outcomes = std::move(realized.pairs);
+  const flow::FlowLevelStats& stats = realized.stats;
 
-  outcomes = flow::multipath_pair_outcomes(view, expansion, demands,
-                                           subflow_allocation, direct_km_);
-  const flow::Allocation allocation =
-      flow::fold_subflows(expansion, subflow_allocation);
-  const flow::FlowLevelStats stats =
-      flow::summarize(view, outcomes, allocation);
-  std::vector<char> denied(routes.pair_paths.size(), 0);
-  for (std::size_t f = 0; f < routes.pair_paths.size(); ++f) {
-    denied[f] = routes.pair_paths[f].empty() ? 1 : 0;
-  }
-  return finalize_row(denied, allocation, stats, epoch_index, utc_hour, growth,
-                      outcomes);
-}
-
-EpochStats TimelineDriver::finalize_row(
-    const std::vector<char>& denied, const flow::Allocation& allocation,
-    const flow::FlowLevelStats& stats, std::size_t epoch_index,
-    double utc_hour, double growth,
-    const std::vector<flow::PairOutcome>& outcomes) const {
   EpochStats row;
   row.epoch = epoch_index;
   row.utc_hour = utc_hour;
@@ -225,19 +143,16 @@ EpochStats TimelineDriver::finalize_row(
                             : 1.0;
   row.mean_link_utilization = stats.mean_link_utilization;
   row.max_link_utilization = stats.max_link_utilization;
-  row.allocation_rounds = allocation.rounds;
-  row.dual_iterations = allocation.dual_iterations;
+  row.allocation_rounds = realized.allocation.rounds;
+  row.dual_iterations = realized.allocation.dual_iterations;
 
   Samples pair_stretch;
   double served_sum = 0.0;
   double served_sum_sq = 0.0;
   std::size_t offered_pairs = 0;
-  std::size_t denied_count = 0;
   std::size_t available = 0;
-  for (std::size_t f = 0; f < outcomes.size(); ++f) {
-    const flow::PairOutcome& pair = outcomes[f];
+  for (const flow::PairOutcome& pair : outcomes) {
     pair_stretch.add(pair.stretch);
-    if (denied[f]) ++denied_count;
     if (pair.offered_bps <= 0.0 ||
         pair.delivered_bps >= options_.served_frac * pair.offered_bps) {
       ++available;
@@ -302,21 +217,18 @@ EpochStats TimelineDriver::step() {
         cap_factors[topo_.view.edge_to_link[edge] / 2];
   }
 
-  EpochStats row;
-  if (options_.multipath_te) {
-    // TE mode: the epoch's split weights re-solve against the degraded
-    // capacities (warm caches skip work that hasn't changed); the
-    // repairer's routes are unused but its link state drove the capacity
-    // rewrite above.
-    const te::SplitResult split =
-        solve_epoch_splits(topo_.view, nominal_capacity_bps_, &te_warm_);
-    row = evaluate_multipath(topo_.view, split.routes, current_, e, hour,
-                             growth, &warm_, last_outcomes_);
-  } else {
-    const std::vector<graphs::Path> paths = repairer_.traffic_paths();
-    row = evaluate(topo_.view, paths, current_, e, hour, growth, &warm_,
-                   last_outcomes_);
-  }
+  // TE mode: the epoch's split weights re-solve against the degraded
+  // capacities (warm caches skip work that hasn't changed); the
+  // repairer's routes are unused but its link state drove the capacity
+  // rewrite above. Otherwise the repaired paths are the route set. Either
+  // fresh set moves into the allocator's subflows without a copy.
+  EpochStats row = evaluate(
+      topo_.view,
+      options_.multipath_te
+          ? solve_epoch_splits(topo_.view, nominal_capacity_bps_, &te_warm_)
+                .routes
+          : single_path_routes(repairer_.traffic_paths()),
+      current_, e, hour, growth, &warm_, last_outcomes_);
   row.link_deltas = deltas.size();
   row.touched_pairs = repair.touched_pairs;
   row.changed_pairs = repair.changed_pairs;
@@ -375,27 +287,27 @@ EpochStats TimelineDriver::evaluate_cold(std::size_t epoch_index) const {
       scenario::apply_diurnal(base_, options_.diurnal, hour);
   if (growth != 1.0) demands.scale_rates(growth);
 
-  std::vector<flow::PairOutcome> outcomes;
+  MultipathRouteSet routes;
   if (options_.multipath_te) {
     // Cold TE solve (no warm state): candidates re-gather against the
     // fresh view's nominal capacities and the LP re-runs — by the
     // pure-function contract of solve_splits this reproduces the warm
     // path's bytes exactly.
-    const te::SplitResult split =
-        solve_epoch_splits(topo.view, nominal, /*warm=*/nullptr);
-    return evaluate_multipath(topo.view, split.routes, demands, epoch_index,
-                              hour, growth, /*warm=*/nullptr, outcomes);
+    routes = solve_epoch_splits(topo.view, nominal, /*warm=*/nullptr).routes;
+  } else {
+    std::vector<control::PairRoute> repaired = control::RouteRepairer::
+        full_recompute(*plan_, base_.to_demands(), options_.policy,
+                       direct_km_, state);
+    std::vector<graphs::Path> paths;
+    paths.reserve(repaired.size());
+    for (control::PairRoute& route : repaired) {
+      paths.push_back(std::move(route.path));
+    }
+    routes = single_path_routes(std::move(paths));
   }
-
-  const std::vector<control::PairRoute> routes = control::RouteRepairer::
-      full_recompute(*plan_, base_.to_demands(), options_.policy, direct_km_,
-                     state);
-  std::vector<graphs::Path> paths;
-  paths.reserve(routes.size());
-  for (const control::PairRoute& route : routes) paths.push_back(route.path);
-
-  return evaluate(topo.view, paths, demands, epoch_index, hour, growth,
-                  /*warm=*/nullptr, outcomes);
+  std::vector<flow::PairOutcome> outcomes;
+  return evaluate(topo.view, std::move(routes), demands, epoch_index, hour,
+                  growth, /*warm=*/nullptr, outcomes);
 }
 
 std::vector<double> TimelineDriver::pair_availability() const {

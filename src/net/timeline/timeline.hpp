@@ -186,35 +186,18 @@ class TimelineDriver {
   [[nodiscard]] double epoch_growth(double utc_hour) const;
   [[nodiscard]] std::vector<double> epoch_link_factors(
       std::size_t epoch_index) const;
-  /// Shared epoch evaluation (allocation + monitors + fairness/SLO row);
-  /// `warm` is nullptr for an independent-cell (cold) evaluation. The
-  /// caller fills the repair-churn fields afterwards.
-  EpochStats evaluate(const SimTopologyView& view,
-                      const std::vector<graphs::Path>& paths,
+  /// The one epoch evaluation behind step() and evaluate_cold():
+  /// realizes `routes` (TE splits, or repaired paths as weight-1 sets;
+  /// denied pairs are empty entries) over `demands` and builds the
+  /// fairness/SLO row. `routes` is taken by value so a fresh set moves
+  /// into the allocator's subflows uncopied. `warm` is nullptr for an
+  /// independent-cell (cold) evaluation. The caller fills the
+  /// repair-churn fields afterwards.
+  EpochStats evaluate(const SimTopologyView& view, MultipathRouteSet routes,
                       const flow::DemandMatrix& demands,
                       std::size_t epoch_index, double utc_hour, double growth,
                       flow::WarmState* warm,
                       std::vector<flow::PairOutcome>& outcomes) const;
-  /// The multipath-TE counterpart of evaluate(): expands the epoch's
-  /// route set into subflows, allocates (optionally warm — the subflow
-  /// incidence is cached while splits are unchanged), folds back to pair
-  /// grain. Denied pairs are empty route-set entries.
-  EpochStats evaluate_multipath(const SimTopologyView& view,
-                                const MultipathRouteSet& routes,
-                                const flow::DemandMatrix& demands,
-                                std::size_t epoch_index, double utc_hour,
-                                double growth, flow::WarmState* warm,
-                                std::vector<flow::PairOutcome>& outcomes)
-      const;
-  /// Shared stats/SLO tail of both evaluate flavors. `denied[f]` flags
-  /// pairs excluded by policy; `allocation` is at pair grain.
-  EpochStats finalize_row(const std::vector<char>& denied,
-                          const flow::Allocation& allocation,
-                          const flow::FlowLevelStats& stats,
-                          std::size_t epoch_index, double utc_hour,
-                          double growth,
-                          const std::vector<flow::PairOutcome>& outcomes)
-      const;
   /// The epoch's TE split solve (multipath_te mode): current capacities
   /// from `view`, base-rate demands, candidates gathered against
   /// `nominal_capacity`; `warm` may be nullptr (cold oracle).

@@ -1,13 +1,12 @@
 #include "net/traffic_model.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "engine/executor.hpp"
 #include "geo/latlon.hpp"
-#include "net/flow/alpha_fair.hpp"
-#include "net/flow/max_min.hpp"
 #include "net/flow/multipath.hpp"
 #include "net/shard.hpp"
 #include "obs/trace.hpp"
@@ -60,18 +59,15 @@ class PacketTrafficModel final : public TrafficModel {
 
   [[nodiscard]] TrafficReport run(const flow::DemandMatrix& demands,
                                   const TrafficRunOptions& options) override {
-    CISP_REQUIRE(options.paths == nullptr && options.capacity_factor == nullptr,
-                 "control-plane route/capacity overrides are fluid-only");
-    CISP_REQUIRE(options.route_set == nullptr,
-                 "multipath TE route sets are fluid-only");
+    CISP_REQUIRE(!options.routes && options.capacity_factor.empty(),
+                 "route and capacity overrides are fluid-only");
     const obs::TraceSpan span("traffic.packet", "traffic", "flows",
                               static_cast<double>(demands.flow_count()));
     // Plan and route once, centrally: routes pin their edges, which both
     // defines the shard partition and lets each shard install only its own
     // paths into its own network copy.
-    const LinkPlan plan = options.plan != nullptr
-                              ? *options.plan
-                              : plan_links(input_, plan_, build_);
+    const LinkPlan plan =
+        options.plan ? *options.plan : plan_links(input_, plan_, build_);
     const TopologyView topo = view_from_plan(plan);
     const auto demand_list = demands.to_demands();
     const RoutingResult routes =
@@ -187,12 +183,11 @@ class PacketTrafficModel final : public TrafficModel {
   BuildOptions build_;
 };
 
-/// Stale-override guard: route overrides are bare pointers with "must
-/// outlive the run" contracts, and a timeline re-submitting last epoch's
-/// repaired routes against this epoch's plan would otherwise walk
-/// out-of-range edge ids straight into UB. Every non-empty path must be
-/// pinned over THIS run's graph: edge ids in range, each edge connecting
-/// its consecutive nodes, endpoints matching the demand pair.
+/// Stale-route guard: a timeline re-submitting last epoch's routes
+/// against this epoch's plan would otherwise walk out-of-range edge ids
+/// straight into UB. Every path must be pinned over THIS run's graph:
+/// edge ids in range, each edge connecting its consecutive nodes,
+/// endpoints matching the demand pair.
 void validate_one_override_path(const SimTopologyView& view,
                                 const TrafficDemand& demand,
                                 const graphs::Path& path) {
@@ -218,34 +213,25 @@ void validate_one_override_path(const SimTopologyView& view,
   }
 }
 
-void validate_path_override(const SimTopologyView& view,
-                            const std::vector<TrafficDemand>& demand_list,
-                            const std::vector<graphs::Path>& paths) {
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    if (paths[f].empty()) continue;  // denied pair
-    validate_one_override_path(view, demand_list[f], paths[f]);
-  }
-}
-
-/// The same stale-route guard for weighted multipath sets: every member
-/// path of every pair must be pinned over THIS run's graph.
+/// The stale-route guard over a whole route set: one entry per pair,
+/// every member path non-empty and pinned over THIS run's graph.
 void validate_route_set(const SimTopologyView& view,
                         const std::vector<TrafficDemand>& demand_list,
                         const MultipathRouteSet& routes) {
   CISP_REQUIRE(routes.pair_paths.size() == demand_list.size(),
-               "multipath route set must cover every demand pair");
+               "route set must cover every demand pair");
   for (std::size_t f = 0; f < routes.pair_paths.size(); ++f) {
     for (const WeightedPath& wp : routes.pair_paths[f]) {
       CISP_REQUIRE(!wp.path.empty(),
-                   "multipath route set entries must be non-empty paths");
+                   "route set entries must be non-empty paths");
       validate_one_override_path(view, demand_list[f], wp.path);
     }
   }
 }
 
 /// The fluid backends: max-min (Flow) and weighted alpha-fair (Elastic)
-/// share everything but the allocation step — same plan, same routes,
-/// same monitors.
+/// share everything — same plan, same route set, same realization; Flow
+/// is the alpha = +infinity allocation.
 class FluidTrafficModel final : public TrafficModel {
  public:
   FluidTrafficModel(TrafficBackend backend, const design::DesignInput& input,
@@ -264,13 +250,12 @@ class FluidTrafficModel final : public TrafficModel {
                                             : "traffic.flow",
         "traffic", "flows", static_cast<double>(demands.flow_count()));
     TopologyView topo =
-        options.plan != nullptr
-            ? view_from_plan(*options.plan)
-            : view_from_plan(plan_links(input_, plan_, build_));
-    if (options.capacity_factor != nullptr) {
+        options.plan ? view_from_plan(*options.plan)
+                     : view_from_plan(plan_links(input_, plan_, build_));
+    if (!options.capacity_factor.empty()) {
       // Weather derates: per-duplex-link factors scale the edge
       // capacities of the run's plan in place (latency is untouched).
-      const std::vector<double>& factors = *options.capacity_factor;
+      const std::vector<double>& factors = options.capacity_factor;
       CISP_REQUIRE(factors.size() * 2 == topo.view.capacity_bps.size(),
                    "capacity factors must cover every plan link");
       for (const double factor : factors) {
@@ -282,100 +267,56 @@ class FluidTrafficModel final : public TrafficModel {
       }
     }
     const auto demand_list = demands.to_demands();
-    if (options.route_set != nullptr) {
-      CISP_REQUIRE(options.paths == nullptr,
-                   "paths and route_set overrides are mutually exclusive");
-      return run_multipath(topo.view, demands, demand_list, options);
-    }
-    RoutingResult routes;
-    if (options.paths != nullptr) {
-      // Control-plane override: routes were repaired upstream; recover
-      // the offline predictions compute_routes would have reported,
-      // skipping denied (empty-path) pairs.
-      CISP_REQUIRE(options.paths->size() == demand_list.size(),
-                   "route override must cover every demand pair");
-      validate_path_override(topo.view, demand_list, *options.paths);
-      routes.paths = *options.paths;
+    MultipathRouteSet routes =
+        options.routes ? *options.routes
+                       : single_path_routes(
+                             compute_routes(topo.view, demand_list,
+                                            options.scheme)
+                                 .paths);
+    validate_route_set(topo.view, demand_list, routes);
+
+    // Offline predictions at offered load: every subflow at its full
+    // offered rate (pair rate * weight), denied pairs carry nothing.
+    TrafficReport report;
+    {
       std::vector<double> load_bps(topo.view.capacity_bps.size(), 0.0);
       double latency_acc = 0.0;
       double rate_acc = 0.0;
-      for (std::size_t f = 0; f < routes.paths.size(); ++f) {
-        if (routes.paths[f].empty()) continue;
-        double latency_s = 0.0;
-        for (const graphs::EdgeId eid :
-             path_edges(topo.view.latency_graph, routes.paths[f])) {
-          latency_s += topo.view.latency_graph.edge(eid).weight;
-          load_bps[eid] += demand_list[f].rate_bps;
+      for (std::size_t f = 0; f < routes.pair_paths.size(); ++f) {
+        for (const WeightedPath& wp : routes.pair_paths[f]) {
+          const double rate = demand_list[f].rate_bps * wp.weight;
+          double latency_s = 0.0;
+          for (const graphs::EdgeId eid :
+               path_edges(topo.view.latency_graph, wp.path)) {
+            latency_s += topo.view.latency_graph.edge(eid).weight;
+            load_bps[eid] += rate;
+          }
+          latency_acc += latency_s * rate;
+          rate_acc += rate;
         }
-        latency_acc += latency_s * demand_list[f].rate_bps;
-        rate_acc += demand_list[f].rate_bps;
       }
-      routes.mean_path_latency_s = rate_acc > 0.0 ? latency_acc / rate_acc
-                                                  : 0.0;
+      report.stats.mean_path_latency_s =
+          rate_acc > 0.0 ? latency_acc / rate_acc : 0.0;
       for (std::size_t e = 0; e < load_bps.size(); ++e) {
         if (topo.view.capacity_bps[e] <= 0.0) continue;
-        routes.max_link_utilization =
-            std::max(routes.max_link_utilization,
+        report.stats.predicted_max_utilization =
+            std::max(report.stats.predicted_max_utilization,
                      load_bps[e] / topo.view.capacity_bps[e]);
       }
-    } else {
-      routes = compute_routes(topo.view, demand_list, options.scheme);
     }
 
-    // Denied pairs (empty paths) are excluded from the allocation — the
-    // allocators require routable flows — and delivered zero; their
-    // offered demand still counts in the monitors.
-    std::vector<std::size_t> served;
-    served.reserve(demands.pairs().size());
-    for (std::size_t f = 0; f < routes.paths.size(); ++f) {
-      if (!routes.paths[f].empty()) served.push_back(f);
-    }
-    const bool all_served = served.size() == demands.pairs().size();
-
-    std::vector<double> rates;
-    rates.reserve(served.size());
-    std::vector<graphs::Path> served_paths;
-    if (!all_served) served_paths.reserve(served.size());
-    for (const std::size_t f : served) {
-      rates.push_back(demands.pairs()[f].rate_bps);
-      if (!all_served) served_paths.push_back(routes.paths[f]);
-    }
-    const std::vector<graphs::Path>& alloc_paths =
-        all_served ? routes.paths : served_paths;
-
-    flow::Allocation allocation;
-    if (served.empty()) {
-      allocation.edge_load_bps.assign(topo.view.capacity_bps.size(), 0.0);
-    } else if (backend_ == TrafficBackend::Elastic) {
-      // Per-user fairness: each aggregated pair's utility is weighted by
-      // the users fused into it.
-      std::vector<double> weights;
-      weights.reserve(served.size());
-      for (const std::size_t f : served) {
-        weights.push_back(static_cast<double>(
-            std::max<std::uint64_t>(1, demands.pairs()[f].users)));
-      }
-      flow::ElasticOptions elastic;
-      elastic.alpha = options.alpha;
-      elastic.threads = options.threads;
-      allocation = flow::alpha_fair_allocate(topo.view, alloc_paths, rates,
-                                             weights, elastic);
-    } else {
-      allocation = flow::max_min_allocate(topo.view, alloc_paths, rates);
-    }
-    if (!all_served) {
-      flow::scatter_served(allocation, served, demands.pairs().size());
-    }
-
-    TrafficReport report;
-    report.pairs = flow::pair_outcomes(
-        topo.view, routes.paths, demands, allocation,
+    flow::ElasticOptions elastic;
+    elastic.alpha = backend_ == TrafficBackend::Elastic
+                        ? options.alpha
+                        : std::numeric_limits<double>::infinity();
+    elastic.threads = options.threads;
+    flow::Realization realized = flow::realize(
+        topo.view, demands, std::move(routes), elastic,
         [this](std::uint32_t s, std::uint32_t t) {
           return input_.geodesic_km(s, t);
         });
-    const flow::FlowLevelStats stats =
-        flow::summarize(topo.view, report.pairs, allocation);
-
+    const flow::FlowLevelStats& stats = realized.stats;
+    report.pairs = std::move(realized.pairs);
     report.stats.backend = backend_;
     report.stats.flows = stats.flows;
     report.stats.users = stats.users;
@@ -387,93 +328,11 @@ class FluidTrafficModel final : public TrafficModel {
     report.stats.max_stretch = stats.max_stretch;
     report.stats.mean_link_utilization = stats.mean_link_utilization;
     report.stats.max_link_utilization = stats.max_link_utilization;
-    report.stats.mean_path_latency_s = routes.mean_path_latency_s;
-    report.stats.predicted_max_utilization = routes.max_link_utilization;
     report.stats.allocation_rounds = stats.allocation_rounds;
     return report;
   }
 
  private:
-  /// The TE multipath leg of run(): expand pairs into weighted subflows,
-  /// allocate over the subflows with the unchanged (byte-deterministic)
-  /// allocators, fold back to pair grain. `view` already carries the
-  /// run's capacity derates.
-  [[nodiscard]] TrafficReport run_multipath(
-      const SimTopologyView& view, const flow::DemandMatrix& demands,
-      const std::vector<TrafficDemand>& demand_list,
-      const TrafficRunOptions& options) {
-    validate_route_set(view, demand_list, *options.route_set);
-    const flow::SubflowExpansion expansion =
-        flow::expand_multipath(demands, *options.route_set);
-
-    // Offline predictions at offered load, the multipath analogue of the
-    // single-path override's recovery of compute_routes' figures.
-    RoutingResult routes;
-    {
-      std::vector<double> load_bps(view.capacity_bps.size(), 0.0);
-      double latency_acc = 0.0;
-      double rate_acc = 0.0;
-      for (std::size_t s = 0; s < expansion.paths.size(); ++s) {
-        double latency_s = 0.0;
-        for (const graphs::EdgeId eid :
-             path_edges(view.latency_graph, expansion.paths[s])) {
-          latency_s += view.latency_graph.edge(eid).weight;
-          load_bps[eid] += expansion.demand_bps[s];
-        }
-        latency_acc += latency_s * expansion.demand_bps[s];
-        rate_acc += expansion.demand_bps[s];
-      }
-      routes.mean_path_latency_s =
-          rate_acc > 0.0 ? latency_acc / rate_acc : 0.0;
-      for (std::size_t e = 0; e < load_bps.size(); ++e) {
-        if (view.capacity_bps[e] <= 0.0) continue;
-        routes.max_link_utilization = std::max(
-            routes.max_link_utilization, load_bps[e] / view.capacity_bps[e]);
-      }
-    }
-
-    flow::Allocation sub_alloc;
-    if (expansion.paths.empty()) {
-      sub_alloc.edge_load_bps.assign(view.capacity_bps.size(), 0.0);
-    } else if (backend_ == TrafficBackend::Elastic) {
-      flow::ElasticOptions elastic;
-      elastic.alpha = options.alpha;
-      elastic.threads = options.threads;
-      sub_alloc = flow::alpha_fair_allocate(view, expansion.paths,
-                                            expansion.demand_bps,
-                                            expansion.weights, elastic);
-    } else {
-      sub_alloc = flow::max_min_allocate(view, expansion.paths,
-                                         expansion.demand_bps);
-    }
-
-    TrafficReport report;
-    report.pairs = flow::multipath_pair_outcomes(
-        view, expansion, demands, sub_alloc,
-        [this](std::uint32_t s, std::uint32_t t) {
-          return input_.geodesic_km(s, t);
-        });
-    const flow::Allocation folded = flow::fold_subflows(expansion, sub_alloc);
-    const flow::FlowLevelStats stats =
-        flow::summarize(view, report.pairs, folded);
-
-    report.stats.backend = backend_;
-    report.stats.flows = stats.flows;
-    report.stats.users = stats.users;
-    report.stats.offered_bps = stats.offered_bps;
-    report.stats.delivered_bps = stats.delivered_bps;
-    report.stats.loss_rate = stats.loss_rate;
-    report.stats.mean_delay_s = stats.mean_delay_s;
-    report.stats.mean_stretch = stats.mean_stretch;
-    report.stats.max_stretch = stats.max_stretch;
-    report.stats.mean_link_utilization = stats.mean_link_utilization;
-    report.stats.max_link_utilization = stats.max_link_utilization;
-    report.stats.mean_path_latency_s = routes.mean_path_latency_s;
-    report.stats.predicted_max_utilization = routes.max_link_utilization;
-    report.stats.allocation_rounds = stats.allocation_rounds;
-    return report;
-  }
-
   TrafficBackend backend_;
   const design::DesignInput& input_;
   const design::CapacityPlan& plan_;

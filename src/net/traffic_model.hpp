@@ -24,9 +24,16 @@
 // below saturation are the residual). Scenarios that degrade the
 // substrate (failure models) hand a mutated LinkPlan through
 // TrafficRunOptions::plan and every backend builds from it.
+//
+// The fluid backends take one route value: a MultipathRouteSet. Scheme
+// routes, repaired single paths and TE splits all become one, and one
+// realization (flow::realize) allocates it — max-min is alpha-fair at
+// alpha = +infinity, which the allocator dispatches to exactly.
 
 #include <memory>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "net/builder.hpp"
 #include "net/flow/demand_matrix.hpp"
@@ -45,8 +52,10 @@ enum class TrafficBackend {
 /// else.
 [[nodiscard]] TrafficBackend parse_traffic_backend(std::string_view text);
 
-/// Knobs for one traffic evaluation through the seam.
+/// Knobs for one traffic evaluation through the seam. Every override is
+/// held by value, so options can be copied, stored and reused freely.
 struct TrafficRunOptions {
+  /// Routing when `routes` is unset.
   RoutingScheme scheme = RoutingScheme::ShortestPath;
   /// Packet backend: sources emit over [0, sim_duration_s], then the
   /// simulator drains in-flight packets for drain_s more.
@@ -64,35 +73,28 @@ struct TrafficRunOptions {
   /// byte-identical for every value — groups never share a queue.
   std::size_t packet_shards = 0;
   /// Elastic backend: fairness exponent (1 = proportional fairness;
-  /// >= flow::kMaxMinAlpha or infinity recovers max-min exactly).
+  /// >= flow::kMaxMinAlpha or infinity recovers max-min exactly). The
+  /// Flow backend is the alpha = +infinity case and ignores this.
   double alpha = 1.0;
   /// Substrate override: when set, every backend builds from this plan
   /// instead of planning from (input, capacity plan) — the failure models
-  /// hand in a plan with links already cut. Must outlive the run.
-  const LinkPlan* plan = nullptr;
-  /// Control-plane route override (fluid backends only): one path per
-  /// demand-matrix pair, graph-edge-pinned over the run's plan, as
-  /// produced by control::RouteRepairer::traffic_paths(). An EMPTY path
-  /// marks a pair the detour policy DENIED: its offered demand is counted
-  /// but it is excluded from allocation and delivered zero. When set,
-  /// `scheme` is ignored. Must outlive the run; the packet backend
-  /// rejects it.
-  const std::vector<graphs::Path>* paths = nullptr;
-  /// TE multipath route override (fluid backends only): one WEIGHTED path
-  /// set per demand-matrix pair over the run's plan, as produced by
-  /// te::solve_splits. Pairs expand into per-path subflows (rate * weight
-  /// offered each; elastic utility weights scale by the split so per-user
-  /// fairness is split-invariant), the unchanged allocators run over the
-  /// subflows, and results fold back to pair grain. An EMPTY set denies
-  /// the pair (counted, delivered zero). When set, `scheme` is ignored;
-  /// mutually exclusive with `paths`. Must outlive the run; the packet
-  /// backend rejects it.
-  const MultipathRouteSet* route_set = nullptr;
+  /// hand in a plan with links already cut.
+  std::optional<LinkPlan> plan;
+  /// Route override (fluid backends only): one WEIGHTED path set per
+  /// demand-matrix pair, graph-edge-pinned over the run's plan. TE splits
+  /// (te::solve_splits) come as is; single paths (repaired routes, racing
+  /// winners) come through net::single_path_routes. Pairs expand into
+  /// per-path subflows (rate * weight offered each; elastic utility
+  /// weights scale by the split so per-user fairness is split-invariant)
+  /// and results fold back to pair grain. An EMPTY set denies the pair:
+  /// its demand is offered, never allocated, and delivers zero. When
+  /// unset, `scheme` routes every pair. The packet backend rejects it.
+  std::optional<MultipathRouteSet> routes;
   /// Per-duplex-link capacity derate factors in [0, 1] over the run's
   /// plan (control::RouteRepairer::capacity_factors(): weather-derated
-  /// links < 1, downed links 0 — the paths override already avoids the
-  /// latter). Fluid backends only; must outlive the run.
-  const std::vector<double>* capacity_factor = nullptr;
+  /// links < 1, downed links 0 — repaired routes already avoid the
+  /// latter). Empty = no derate. Fluid backends only.
+  std::vector<double> capacity_factor;
 };
 
 /// Backend-comparable summary of one run. Packet fills measured

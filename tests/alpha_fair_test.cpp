@@ -16,6 +16,7 @@
 #include "net/flow/max_min.hpp"
 #include "net/routing.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace cisp::net {
@@ -290,6 +291,23 @@ TEST(AlphaFair, AllocationsAreByteIdenticalAcrossThreadCounts) {
               0)
         << "edge loads differ at threads=" << threads;
     EXPECT_EQ(parallel.rounds, baseline.rounds);
+  }
+}
+
+TEST(AlphaFair, RejectsNanNegativeOrInfiniteCapacityAtEveryAlpha) {
+  // +inf would turn every normalized capacity into NaN; the max-min
+  // dispatch (alpha = +inf) rejects the same inputs.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double alpha : {1.0, inf}) {
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), -1.0, inf}) {
+      auto view = chain_view({10e9, 10e9});
+      view.capacity_bps[3] = bad;  // an edge no flow crosses still counts
+      flow::ElasticOptions options;
+      options.alpha = alpha;
+      EXPECT_THROW((void)elastic(view, {{0, 1, 1e9}}, options), cisp::Error)
+          << "alpha=" << alpha << " capacity=" << bad;
+    }
   }
 }
 

@@ -518,11 +518,10 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
     if (route.denied) ++denied_intact;
   }
   EXPECT_EQ(denied_intact, 10u);
-  options.plan = &base_plan;
+  options.plan = base_plan;
   const auto intact_paths = repairer.traffic_paths();
-  const auto intact_factors = repairer.capacity_factors();
-  options.paths = &intact_paths;
-  options.capacity_factor = &intact_factors;
+  options.routes = single_path_routes(intact_paths);
+  options.capacity_factor = repairer.capacity_factors();
   const auto partial = model->run(demands, options);
   double denied_offered = 0.0;
   for (std::size_t p = 0; p < intact_paths.size(); ++p) {
@@ -540,10 +539,8 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
   }
   const auto stats = repairer.apply(down);
   EXPECT_EQ(stats.denied_pairs, demands.pairs().size());
-  const auto paths = repairer.traffic_paths();
-  const auto factors = repairer.capacity_factors();
-  options.paths = &paths;
-  options.capacity_factor = &factors;
+  options.routes = single_path_routes(repairer.traffic_paths());
+  options.capacity_factor = repairer.capacity_factors();
   const auto degraded = model->run(demands, options);
   EXPECT_EQ(degraded.stats.delivered_bps, 0.0);
 
@@ -555,24 +552,26 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
     derate.push_back({i, true, 0.5});
   }
   (void)derater.apply(derate);
-  const auto derated_paths = derater.traffic_paths();
-  const auto derated_factors = derater.capacity_factors();
-  options.paths = &derated_paths;
-  options.capacity_factor = &derated_factors;
+  options.routes = single_path_routes(derater.traffic_paths());
+  options.capacity_factor = derater.capacity_factors();
   const auto derated = model->run(demands, options);
   EXPECT_NEAR(derated.stats.max_link_utilization,
               2.0 * intact.stats.max_link_utilization, 1e-9);
 
-  // The seam is fluid-only: the packet backend must reject overrides.
+  // The seam is fluid-only: the packet backend must reject overrides,
+  // a derate on its own included.
   const auto packet = make_traffic_model(TrafficBackend::Packet, input, plan);
   EXPECT_THROW((void)packet->run(demands, options), cisp::Error);
+  TrafficRunOptions derate_only;
+  derate_only.capacity_factor = derater.capacity_factors();
+  EXPECT_THROW((void)packet->run(demands, derate_only), cisp::Error);
 }
 
 TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
-  // The raw pointers in TrafficRunOptions are lifetime hazards: a paths
-  // vector pinned against an older plan, or a factor vector of the wrong
-  // length, used to walk straight into unchecked graph-edge indexing (UB).
-  // Every malformed override must fail with cisp::Error at run entry.
+  // A route set pinned against an older plan, or a factor vector of the
+  // wrong length, would walk straight into unchecked graph-edge indexing
+  // (UB). Every malformed override must fail with cisp::Error at run
+  // entry.
   const auto input = seam_input();
   const auto plan = seam_plan();
   std::vector<std::vector<double>> traffic(4, std::vector<double>(4, 1.0));
@@ -588,17 +587,17 @@ TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
 
   const auto model = make_traffic_model(TrafficBackend::Flow, input, plan);
   TrafficRunOptions options;
-  options.plan = &base_plan;
-  options.paths = &good_paths;
-  options.capacity_factor = &good_factors;
+  options.plan = base_plan;
+  options.routes = single_path_routes(good_paths);
+  options.capacity_factor = good_factors;
   EXPECT_NO_THROW((void)model->run(demands, options));
 
   {
-    // One path per demand pair, no more, no fewer.
+    // One route-set entry per demand pair, no more, no fewer.
     auto too_few = good_paths;
     too_few.pop_back();
     TrafficRunOptions bad = options;
-    bad.paths = &too_few;
+    bad.routes = single_path_routes(too_few);
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
@@ -607,7 +606,7 @@ TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
     wrong_ends.front().nodes.front() =
         wrong_ends.front().nodes.front() == 2 ? 3 : 2;
     TrafficRunOptions bad = options;
-    bad.paths = &wrong_ends;
+    bad.routes = single_path_routes(wrong_ends);
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
@@ -617,7 +616,7 @@ TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
     ASSERT_FALSE(out_of_range.front().edges.empty());
     out_of_range.front().edges.front() = 1000000;
     TrafficRunOptions bad = options;
-    bad.paths = &out_of_range;
+    bad.routes = single_path_routes(out_of_range);
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
@@ -638,26 +637,26 @@ TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
     }
     ASSERT_TRUE(tampered);
     TrafficRunOptions bad = options;
-    bad.paths = &stale;
+    bad.routes = single_path_routes(stale);
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
     // Capacity factors: one per duplex link, each in [0, 1].
     std::vector<double> short_factors(base_plan.links.size() - 1, 1.0);
     TrafficRunOptions bad = options;
-    bad.capacity_factor = &short_factors;
+    bad.capacity_factor = short_factors;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
 
     auto over = good_factors;
     over.front() = 1.5;
     bad = options;
-    bad.capacity_factor = &over;
+    bad.capacity_factor = over;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
 
     auto negative = good_factors;
     negative.front() = -0.25;
     bad = options;
-    bad.capacity_factor = &negative;
+    bad.capacity_factor = negative;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
 }

@@ -327,7 +327,7 @@ TEST(Shard, PacketResultsByteIdenticalAcrossShardAndThreadCounts) {
   });
 
   TrafficRunOptions options;
-  options.plan = &plan;
+  options.plan = plan;
   options.sim_duration_s = 0.1;
   options.drain_s = 0.05;
   options.seed = 42;

@@ -213,18 +213,11 @@ TEST(MaxMin, RejectsNanDemandAndNanOrNegativeCapacity) {
   auto negative_cap = chain_view({10e9});
   negative_cap.capacity_bps[0] = -1.0;
   EXPECT_THROW((void)allocate(negative_cap, {{0, 1, 1e9}}), cisp::Error);
-}
 
-TEST(MaxMin, ScatterServedRestoresFullFlowOrder) {
-  const auto view = chain_view({4e9});
-  auto allocation = allocate(view, {{0, 1, 10e9}, {0, 1, 1e9}});
-  flow::scatter_served(allocation, {1, 3}, 4);
-  EXPECT_EQ(allocation.rate_bps,
-            (std::vector<double>{0.0, 3e9, 0.0, 1e9}));
-  EXPECT_EQ(allocation.bottleneck_edge,
-            (std::vector<graphs::EdgeId>{flow::kNoBottleneck, 0,
-                                         flow::kNoBottleneck,
-                                         flow::kNoBottleneck}));
+  // +inf capacity is not "unbounded": it would saturate in round 1.
+  auto infinite_cap = chain_view({10e9});
+  infinite_cap.capacity_bps[0] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)allocate(infinite_cap, {{0, 1, 1e9}}), cisp::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // infeasible/unbounded cases, randomized verification against brute-force
 // vertex enumeration, the pivot's determinism contracts on TE-shaped LPs
 // (bit-identical at every thread count, pinned to a golden checksum of the
-// dense-pivot solver), and branch-and-bound MILP on knapsack instances.
+// dense-pivot solver).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "lp/milp.hpp"
 #include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -359,132 +358,6 @@ TEST(Simplex, TinyIterationBudgetReportsIterationLimit) {
   EXPECT_EQ(solve(lp, options).status, SolveStatus::IterationLimit);
   options.max_iterations = 10;
   EXPECT_EQ(solve(lp, options).status, SolveStatus::Optimal);
-}
-
-TEST(Milp, SmallKnapsack) {
-  // max 10a + 13b + 8c st 3a + 4b + 2c <= 6, binary  => b+c: 21.
-  LinearProgram lp;
-  lp.num_vars = 3;
-  lp.objective = {-10.0, -13.0, -8.0};
-  lp.add_less_eq({3.0, 4.0, 2.0}, 6.0);
-  for (std::size_t v = 0; v < 3; ++v) {
-    std::vector<double> row(3, 0.0);
-    row[v] = 1.0;
-    lp.add_less_eq(std::move(row), 1.0);
-  }
-  const auto result = solve_milp(lp, {0, 1, 2});
-  ASSERT_EQ(result.status, SolveStatus::Optimal);
-  EXPECT_NEAR(result.objective, -21.0, 1e-6);
-  EXPECT_NEAR(result.x[1], 1.0, 1e-6);
-  EXPECT_NEAR(result.x[2], 1.0, 1e-6);
-}
-
-TEST(Milp, IntegerRoundingMatters) {
-  // LP relaxation would take x = 1.5; the MILP must settle for x = 1.
-  LinearProgram lp;
-  lp.num_vars = 1;
-  lp.objective = {-1.0};
-  lp.add_less_eq({2.0}, 3.0);
-  const auto result = solve_milp(lp, {0});
-  ASSERT_EQ(result.status, SolveStatus::Optimal);
-  EXPECT_NEAR(result.x[0], 1.0, 1e-6);
-}
-
-TEST(Milp, MixedIntegerKeepsContinuousVarsFractional) {
-  // min -x - y st x + y <= 2.5, x integer, y continuous -> x=2, y=0.5? No:
-  // x=2,y=0.5 obj=-2.5; x=1,y=1.5 same. Optimal value -2.5 either way.
-  LinearProgram lp;
-  lp.num_vars = 2;
-  lp.objective = {-1.0, -1.0};
-  lp.add_less_eq({1.0, 1.0}, 2.5);
-  lp.add_less_eq({1.0, 0.0}, 2.0);
-  lp.add_less_eq({0.0, 1.0}, 2.0);
-  const auto result = solve_milp(lp, {0});
-  ASSERT_EQ(result.status, SolveStatus::Optimal);
-  EXPECT_NEAR(result.objective, -2.5, 1e-6);
-  EXPECT_NEAR(result.x[0], std::round(result.x[0]), 1e-6);
-}
-
-TEST(Milp, InfeasibleIntegerProblem) {
-  // 0.4 <= x <= 0.6 has no integer point.
-  LinearProgram lp;
-  lp.num_vars = 1;
-  lp.objective = {1.0};
-  lp.add_greater_eq({1.0}, 0.4);
-  lp.add_less_eq({1.0}, 0.6);
-  EXPECT_EQ(solve_milp(lp, {0}).status, SolveStatus::Infeasible);
-}
-
-TEST(Milp, RandomKnapsacksMatchExhaustiveProperty) {
-  Rng rng(67);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 8;
-    std::vector<double> value(n);
-    std::vector<double> weight(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      value[i] = rng.uniform(1.0, 10.0);
-      weight[i] = rng.uniform(1.0, 6.0);
-    }
-    const double cap = rng.uniform(6.0, 18.0);
-
-    LinearProgram lp;
-    lp.num_vars = n;
-    lp.objective.resize(n);
-    for (std::size_t i = 0; i < n; ++i) lp.objective[i] = -value[i];
-    lp.add_less_eq(weight, cap);
-    std::vector<std::size_t> ints;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<double> row(n, 0.0);
-      row[i] = 1.0;
-      lp.add_less_eq(std::move(row), 1.0);
-      ints.push_back(i);
-    }
-    const auto result = solve_milp(lp, ints);
-    ASSERT_EQ(result.status, SolveStatus::Optimal);
-
-    // Exhaustive reference.
-    double best = 0.0;
-    for (unsigned mask = 0; mask < (1u << n); ++mask) {
-      double v = 0.0;
-      double w = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) {
-          v += value[i];
-          w += weight[i];
-        }
-      }
-      if (w <= cap) best = std::max(best, v);
-    }
-    EXPECT_NEAR(-result.objective, best, 1e-6);
-  }
-}
-
-TEST(Milp, NodeBudgetReturnsIncumbent) {
-  LinearProgram lp;
-  lp.num_vars = 6;
-  lp.objective = {-5, -4, -3, -6, -7, -2};
-  lp.add_less_eq({3, 2, 4, 5, 6, 1}, 10.0);
-  std::vector<std::size_t> ints;
-  for (std::size_t i = 0; i < 6; ++i) {
-    std::vector<double> row(6, 0.0);
-    row[i] = 1.0;
-    lp.add_less_eq(std::move(row), 1.0);
-    ints.push_back(i);
-  }
-  MilpOptions options;
-  options.max_nodes = 2;  // far too small to prove optimality
-  const auto result = solve_milp(lp, ints, options);
-  EXPECT_LE(result.nodes_explored, 2u);
-  // Either no incumbent yet (Infeasible reported) or an unproven one.
-  EXPECT_NE(result.status, SolveStatus::Optimal);
-}
-
-TEST(Milp, RejectsBadVariableIndex) {
-  LinearProgram lp;
-  lp.num_vars = 1;
-  lp.objective = {1.0};
-  lp.add_less_eq({1.0}, 1.0);
-  EXPECT_THROW(solve_milp(lp, {5}), cisp::Error);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "design/greedy.hpp"
 #include "design/problem.hpp"
 #include "geo/geodesic.hpp"
-#include "lp/milp.hpp"
 #include "net/node.hpp"
 #include "net/tcp.hpp"
 #include "rf/fresnel.hpp"
@@ -270,58 +269,6 @@ TEST(DesignSolverBoundary, StaleScoresAreNotAlwaysUpperBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Instances, DesignSolverProperty,
                          ::testing::Range<std::uint64_t>(100, 112));
-
-// ---------------------------------------------------------------------------
-// MILP vs exhaustive enumeration over a family of set-cover-ish problems.
-// ---------------------------------------------------------------------------
-
-class MilpProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MilpProperty, MatchesExhaustiveOnRandomBinaryProblems) {
-  Rng rng(GetParam());
-  const std::size_t n = 7;
-  lp::LinearProgram problem;
-  problem.num_vars = n;
-  problem.objective.resize(n);
-  for (auto& c : problem.objective) c = rng.uniform(-8.0, -1.0);
-  // Two random packing constraints plus binary bounds.
-  for (int row = 0; row < 2; ++row) {
-    std::vector<double> coeffs(n);
-    for (auto& c : coeffs) c = rng.uniform(0.5, 4.0);
-    problem.add_less_eq(std::move(coeffs), rng.uniform(4.0, 10.0));
-  }
-  std::vector<std::size_t> ints;
-  for (std::size_t v = 0; v < n; ++v) {
-    std::vector<double> bound(n, 0.0);
-    bound[v] = 1.0;
-    problem.add_less_eq(std::move(bound), 1.0);
-    ints.push_back(v);
-  }
-  const auto milp = lp::solve_milp(problem, ints);
-  ASSERT_EQ(milp.status, lp::SolveStatus::Optimal);
-
-  double best = 0.0;
-  for (unsigned mask = 0; mask < (1u << n); ++mask) {
-    double obj = 0.0;
-    bool feasible = true;
-    for (const auto& cons : problem.constraints) {
-      double lhs = 0.0;
-      for (std::size_t v = 0; v < n; ++v) {
-        if (mask & (1u << v)) lhs += cons.coeffs[v];
-      }
-      if (lhs > cons.rhs + 1e-9) feasible = false;
-    }
-    if (!feasible) continue;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (mask & (1u << v)) obj += problem.objective[v];
-    }
-    best = std::min(best, obj);
-  }
-  EXPECT_NEAR(milp.objective, best, 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MilpProperty,
-                         ::testing::Range<std::uint64_t>(200, 215));
 
 // ---------------------------------------------------------------------------
 // TCP liveness and throughput sanity over a (bottleneck, size) grid.

@@ -427,7 +427,7 @@ TEST(ScenarioSeam, CuttingTheMwDiagonalRaisesStretchOnFluidBackends) {
     const auto model_ptr = make_traffic_model(backend, input, plan);
     TrafficRunOptions options;
     const auto intact = model_ptr->run(demands, options);
-    options.plan = &outcome.plan;
+    options.plan = outcome.plan;
     const auto degraded = model_ptr->run(demands, options);
     // The 0<->2 pairs lose the straight MW shot and detour over fiber.
     EXPECT_GT(degraded.stats.mean_stretch, intact.stats.mean_stretch)

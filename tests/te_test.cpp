@@ -11,10 +11,12 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "design/capacity.hpp"
 #include "geo/latlon.hpp"
+#include "graph/ksp.hpp"
 #include "net/builder.hpp"
 #include "net/control/candidate_racing.hpp"
 #include "net/control/route_repair.hpp"
@@ -456,8 +458,8 @@ TEST(TeMultipath, RouteSetThroughTheFluidSeamMatchesManualExpansion) {
   const auto plan = seam_plan();
   const auto model = make_traffic_model(TrafficBackend::Flow, input, plan);
   TrafficRunOptions run;
-  run.plan = &f.plan;
-  run.route_set = &split.routes;
+  run.plan = f.plan;
+  run.routes = split.routes;
   const TrafficReport report = model->run(demands, run);
 
   // Both 8 Gbps subflows fit their 10 Gbps branches: everything delivers.
@@ -480,14 +482,14 @@ TEST(TeMultipath, RouteSetThroughTheFluidSeamMatchesManualExpansion) {
   MultipathRouteSet denied;
   denied.pair_paths.resize(1);
   TrafficRunOptions denied_run;
-  denied_run.plan = &f.plan;
-  denied_run.route_set = &denied;
+  denied_run.plan = f.plan;
+  denied_run.routes = denied;
   const TrafficReport denied_report = model->run(demands, denied_run);
   EXPECT_EQ(denied_report.stats.offered_bps, 16e9);
   EXPECT_EQ(denied_report.stats.delivered_bps, 0.0);
 }
 
-TEST(TeMultipath, SeamRejectsPacketBackendAndPathsExclusivity) {
+TEST(TeMultipath, SeamRejectsPacketBackend) {
   const ParallelFixture f = make_parallel();
   const TopologyView topo = view_from_plan(f.plan);
   const auto demands = flow::DemandMatrix::from_pairs({{0, 3, 10, 2e9}});
@@ -500,19 +502,73 @@ TEST(TeMultipath, SeamRejectsPacketBackendAndPathsExclusivity) {
   // Multipath route sets are fluid-only.
   const auto packet = make_traffic_model(TrafficBackend::Packet, input, plan);
   TrafficRunOptions packet_run;
-  packet_run.plan = &f.plan;
-  packet_run.route_set = &split.routes;
+  packet_run.plan = f.plan;
+  packet_run.routes = split.routes;
   EXPECT_THROW(packet->run(demands, packet_run), cisp::Error);
+}
 
-  // paths and route_set are mutually exclusive overrides.
-  const auto fluid = make_traffic_model(TrafficBackend::Flow, input, plan);
-  const std::vector<graphs::Path> paths = {
-      split.routes.pair_paths[0][0].path};
-  TrafficRunOptions both;
-  both.plan = &f.plan;
-  both.route_set = &split.routes;
-  both.paths = &paths;
-  EXPECT_THROW(fluid->run(demands, both), cisp::Error);
+TEST(TeMultipath, RealizeKeepsSinglePathLatencyExactAndAveragesSplits) {
+  // Many single-path pairs at random rates through realize(): a pair with
+  // one subflow must report its path latency exactly. The split average
+  // (l * d) / d misses l by an ulp in ~9% of draws, which this many
+  // pairs cannot all dodge.
+  const Fixture f = make_fixture(71, 16, 400);
+  const TopologyView topo = view_from_plan(f.plan);
+  const graphs::Graph& g = topo.view.latency_graph;
+  const auto demand_list = f.base.to_demands();
+  const RoutingResult shortest =
+      compute_routes(topo.view, demand_list, RoutingScheme::ShortestPath);
+  MultipathRouteSet routes = single_path_routes(shortest.paths);
+  ASSERT_GT(routes.pair_paths.size(), 100u);
+
+  // Pair 0 splits over its two latency-shortest paths.
+  auto two = graphs::yen_ksp(g, demand_list[0].src, demand_list[0].dst, 2);
+  ASSERT_EQ(two.size(), 2u);
+  for (graphs::Path& path : two) path.edges = path_edges(g, path);
+  routes.pair_paths[0] = {{two[0], 0.375}, {two[1], 0.625}};
+
+  flow::ElasticOptions max_min;
+  max_min.alpha = std::numeric_limits<double>::infinity();
+  const flow::Realization realized =
+      flow::realize(topo.view, f.base, routes, max_min, f.direct_km());
+  ASSERT_EQ(realized.pairs.size(), demand_list.size());
+
+  const auto latency_of = [&](const graphs::Path& path) {
+    double latency = 0.0;
+    for (const graphs::EdgeId eid : path_edges(g, path)) {
+      latency += g.edge(eid).weight;
+    }
+    return latency;
+  };
+  std::size_t naive_misses = 0;
+  for (std::size_t p = 1; p < realized.pairs.size(); ++p) {
+    SCOPED_TRACE("pair " + std::to_string(p));
+    const double latency = latency_of(shortest.paths[p]);
+    const double direct_s =
+        f.direct_km()(demand_list[p].src, demand_list[p].dst) /
+        geo::kSpeedOfLightKmPerS;
+    EXPECT_EQ(realized.pairs[p].latency_s, latency);
+    EXPECT_EQ(realized.pairs[p].stretch, latency / direct_s);
+    const double delivered = realized.allocation.rate_bps[p];
+    if (delivered > 0.0 && latency * delivered / delivered != latency) {
+      ++naive_misses;
+    }
+  }
+  // The fixture really exercises the pitfall.
+  EXPECT_GT(naive_misses, 0u);
+
+  // The split pair: the delivered-rate-weighted mean of its subflows.
+  const flow::SubflowExpansion expansion =
+      flow::expand_multipath(f.base, routes);
+  const flow::Allocation subflows = flow::max_min_allocate(
+      topo.view, expansion.paths, expansion.demand_bps);
+  ASSERT_EQ(expansion.pair_of[1], 0u);
+  const double l1 = latency_of(two[0]);
+  const double l2 = latency_of(two[1]);
+  const double d1 = subflows.rate_bps[0];
+  const double d2 = subflows.rate_bps[1];
+  ASSERT_GT(d1 + d2, 0.0);
+  EXPECT_EQ(realized.pairs[0].latency_s, (l1 * d1 + l2 * d2) / (d1 + d2));
 }
 
 // ---------------------------------------------------------------------------

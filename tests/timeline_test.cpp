@@ -297,8 +297,6 @@ TEST(Timeline, MatchesIndependentCellsThroughTheTrafficModelSeam) {
                                 options.policy, direct);
     (void)cell.apply(control::deltas_from_factors(link_plan, schedule[e],
                                                   cell.link_state()));
-    const auto paths = cell.traffic_paths();
-    const auto factors = cell.capacity_factors();
 
     const double hour = static_cast<double>(e);
     const double growth = 1.0 + options.annual_growth * (hour / 8760.0);
@@ -307,9 +305,9 @@ TEST(Timeline, MatchesIndependentCellsThroughTheTrafficModelSeam) {
     demands.scale_rates(growth);
 
     TrafficRunOptions run;
-    run.plan = &link_plan;
-    run.paths = &paths;
-    run.capacity_factor = &factors;
+    run.plan = link_plan;
+    run.routes = single_path_routes(cell.traffic_paths());
+    run.capacity_factor = cell.capacity_factors();
     const TrafficReport cell_report = model->run(demands, run);
 
     EXPECT_EQ(row.offered_bps, cell_report.stats.offered_bps);

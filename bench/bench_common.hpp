@@ -134,7 +134,6 @@ struct TrafficCell {
   double aggregate_gbps = 100.0;
   double sim_s = 0.3;          ///< packet backend: source emission window
   std::uint64_t seed = 0;      ///< packet backend: source phase seed
-  std::size_t threads = 1;     ///< fluid backends: allocator sharding
   double alpha = 1.0;          ///< elastic backend: fairness exponent
 };
 
@@ -152,7 +151,6 @@ inline net::TrafficStats run_traffic_cell(
   run.scheme = cell.scheme;
   run.sim_duration_s = cell.sim_s;
   run.seed = cell.seed;
-  run.threads = cell.threads;
   run.alpha = cell.alpha;
   return model->run(demands, run).stats;
 }

@@ -568,8 +568,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                                               {});
   add("te_racing_draw", [&] {
     volatile std::size_t mw =
-        te_racer.race_serial(repairer.routes(), repairer.link_state())
-            .mw_winners;
+        te_racer.race(repairer.routes(), repairer.link_state()).mw_winners;
     (void)mw;
   });
 

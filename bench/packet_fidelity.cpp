@@ -1,6 +1,6 @@
 // packet_fidelity: the packet-DES-vs-fluid cross-check at scale. One
 // designed US instance carries the same user-apportioned demand matrix
-// through both the packet backend (sharded DES, one CBR source per
+// through both the packet backend (calendar-queue DES, one CBR source per
 // aggregated pair) and the flow backend (max-min fluid allocation), and
 // the report diffs the two below saturation.
 //
@@ -47,7 +47,6 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   net::TrafficRunOptions run_options;
   run_options.sim_duration_s = bench::pick(ctx, 0.2, 0.1);
   run_options.seed = 33;
-  run_options.threads = ctx.threads;
 
   const auto evaluate = [&](net::TrafficBackend backend) {
     const auto model = net::make_traffic_model(backend, instance.problem.input,

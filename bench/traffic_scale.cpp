@@ -6,10 +6,11 @@
 // flows — memory stays O(city_pairs) no matter how many users ride.
 //
 // Reports per-scale delay/stretch/served-fraction/utilization plus the
-// per-city-pair stretch breakdown at the largest scale. The packet
-// backend (sharded calendar-queue DES with packet arenas) is allowed up
-// to 2e5 endpoints; beyond that, per-packet state outruns memory at
-// 10^6 users' rates and the fluid backends are the right tool.
+// per-city-pair stretch breakdown at the largest scale. Scales run as
+// parallel sweep cells. The packet backend (calendar-queue DES with
+// packet arenas) is allowed up to 2e5 endpoints; beyond that, per-packet
+// state outruns memory at 10^6 users' rates and the fluid backends are
+// the right tool.
 
 #include <algorithm>
 
@@ -71,10 +72,9 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
         net::TrafficRunOptions run_options;
         run_options.sim_duration_s = bench::pick(ctx, 0.2, 0.1);
         run_options.seed = 21;
-        run_options.threads = ctx.threads;
         return model->run(demands, run_options);
       },
-      {.threads = 1});  // cells share ctx.threads inside the allocator
+      {.threads = ctx.threads});
 
   engine::ResultSet results;
   results.note("design: stretch=" + fmt(instance.topo.mean_stretch, 3) +

@@ -110,47 +110,27 @@ std::vector<TrafficDemand> demands_from_traffic(
       .to_demands();
 }
 
-std::vector<SeededDemand> seed_udp_demands(
-    const std::vector<TrafficDemand>& demands, Time start, Time stop,
-    std::uint64_t seed) {
-  std::vector<SeededDemand> seeded;
-  Rng rng(seed);
-  for (std::size_t d = 0; d < demands.size(); ++d) {
-    // Skip demands so small they would not emit a packet in the window.
-    const double window_bytes =
-        demands[d].rate_bps / 8.0 * std::max(0.0, stop - start);
-    if (window_bytes < kUdpPacketBytes) continue;
-    seeded.push_back({d, rng()});
-  }
-  return seeded;
-}
-
-std::vector<std::unique_ptr<UdpCbrSource>> attach_udp_sources(
+std::vector<std::unique_ptr<UdpCbrSource>> attach_udp_workload(
     SimInstance& instance, const std::vector<TrafficDemand>& demands,
-    const std::vector<SeededDemand>& seeded, Time start, Time stop) {
+    Time start, Time stop, std::uint64_t seed) {
   for (std::size_t node = 0; node < instance.network->node_count(); ++node) {
     install_udp_sink(*instance.network, static_cast<std::uint32_t>(node),
                      instance.monitor);
   }
   std::vector<std::unique_ptr<UdpCbrSource>> sources;
-  sources.reserve(seeded.size());
-  for (const SeededDemand& sd : seeded) {
-    const TrafficDemand& demand = demands[sd.index];
+  Rng rng(seed);
+  for (std::size_t d = 0; d < demands.size(); ++d) {
+    const TrafficDemand& demand = demands[d];
+    // Skip demands so small they would not emit a packet in the window.
+    const double window_bytes =
+        demand.rate_bps / 8.0 * std::max(0.0, stop - start);
+    if (window_bytes < kUdpPacketBytes) continue;
     sources.push_back(std::make_unique<UdpCbrSource>(
-        *instance.network, instance.monitor,
-        static_cast<std::uint32_t>(sd.index), demand.src, demand.dst,
-        demand.rate_bps));
-    sources.back()->start(start, stop, sd.seed);
+        *instance.network, instance.monitor, static_cast<std::uint32_t>(d),
+        demand.src, demand.dst, demand.rate_bps));
+    sources.back()->start(start, stop, rng());
   }
   return sources;
-}
-
-std::vector<std::unique_ptr<UdpCbrSource>> attach_udp_workload(
-    SimInstance& instance, const std::vector<TrafficDemand>& demands,
-    Time start, Time stop, std::uint64_t seed) {
-  return attach_udp_sources(instance, demands,
-                            seed_udp_demands(demands, start, stop, seed),
-                            start, stop);
 }
 
 }  // namespace cisp::net

@@ -102,30 +102,11 @@ struct SimInstance {
     const std::vector<std::vector<double>>& traffic, double aggregate_gbps,
     double rate_scale);
 
-/// One demand that will actually emit packets, with the phase seed it drew
-/// from the workload RNG. Seeds are drawn once, globally, in demand order —
-/// a sharded run hands each shard its subset and every flow keeps the exact
-/// phase it would have had in a single-simulator run.
-struct SeededDemand {
-  std::size_t index = 0;  ///< position in the demand list (== flow id)
-  std::uint64_t seed = 0;
-};
-
-/// Draws per-demand phase seeds in demand order, skipping demands too small
-/// to emit a packet in [start, stop] (skipped demands draw nothing, exactly
-/// as the attach loop always behaved).
-[[nodiscard]] std::vector<SeededDemand> seed_udp_demands(
-    const std::vector<TrafficDemand>& demands, Time start, Time stop,
-    std::uint64_t seed);
-
-/// Installs sinks on all nodes and attaches UDP CBR sources for the given
-/// pre-seeded subset of `demands`; the flows run from `start` to `stop`.
-/// Returns the sources (kept alive by the caller for the run's duration).
-[[nodiscard]] std::vector<std::unique_ptr<UdpCbrSource>> attach_udp_sources(
-    SimInstance& instance, const std::vector<TrafficDemand>& demands,
-    const std::vector<SeededDemand>& seeded, Time start, Time stop);
-
-/// Single-simulator convenience: seed_udp_demands + attach_udp_sources.
+/// Installs sinks on all nodes and attaches one UDP CBR source per demand
+/// (flow id = demand index) running from `start` to `stop`. Phase seeds
+/// are drawn from `seed` in demand order; demands too small to emit a
+/// packet in the window get no source and draw nothing. Returns the
+/// sources (kept alive by the caller for the run's duration).
 [[nodiscard]] std::vector<std::unique_ptr<UdpCbrSource>> attach_udp_workload(
     SimInstance& instance, const std::vector<TrafficDemand>& demands,
     Time start, Time stop, std::uint64_t seed);

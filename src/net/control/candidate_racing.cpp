@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "engine/executor.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -75,7 +74,7 @@ std::vector<graphs::Path> RacingReport::traffic_paths() const {
 CandidateRacer::CandidateRacer(const LinkPlan& plan,
                                std::vector<TrafficDemand> demands,
                                RacingOptions options)
-    : plan_(&plan),
+    : link_count_(plan.links.size()),
       topo_(view_from_plan(plan)),
       demands_(std::move(demands)),
       options_(options) {
@@ -140,8 +139,8 @@ RaceOutcome CandidateRacer::race_pair(std::size_t pair,
     }
   }
 
-  // One Rng per pair: outcomes never depend on which shard raced the
-  // pair, and only the MW candidate consumes draws.
+  // One Rng per pair: a pair's outcome never depends on the other pairs,
+  // and only the MW candidate consumes draws.
   Rng rng(hash_combine(options_.seed, pair));
   double mw_done_s = kNever;
   if (has_mw) {
@@ -178,38 +177,7 @@ RacingReport CandidateRacer::race(const std::vector<PairRoute>& routes,
                                   const std::vector<LinkState>& state) const {
   CISP_REQUIRE(routes.size() == demands_.size(),
                "racing needs one repaired route per demand");
-  CISP_REQUIRE(state.size() == plan_->links.size(),
-               "racing needs one link state per plan link");
-  RacingReport report;
-  report.outcomes.resize(demands_.size());
-  const auto race_one = [&](std::size_t f) {
-    report.outcomes[f] = race_pair(f, routes, state);
-  };
-  const std::size_t workers = options_.threads == 0
-                                  ? engine::default_thread_count()
-                                  : options_.threads;
-  if (workers > 1 && demands_.size() > 1) {
-    engine::Executor executor(workers);
-    engine::parallel_for(executor, demands_.size(), race_one);
-  } else {
-    for (std::size_t f = 0; f < demands_.size(); ++f) race_one(f);
-  }
-  for (std::size_t f = 0; f < demands_.size(); ++f) {
-    if ((routes[f].denied || routes[f].path.empty()) &&
-        report.outcomes[f].winner == RaceWinner::Fiber) {
-      ++report.recovered_pairs;
-    }
-  }
-  tally(report);
-  return report;
-}
-
-RacingReport CandidateRacer::race_serial(
-    const std::vector<PairRoute>& routes,
-    const std::vector<LinkState>& state) const {
-  CISP_REQUIRE(routes.size() == demands_.size(),
-               "racing needs one repaired route per demand");
-  CISP_REQUIRE(state.size() == plan_->links.size(),
+  CISP_REQUIRE(state.size() == link_count_,
                "racing needs one link state per plan link");
   RacingReport report;
   report.outcomes.resize(demands_.size());

@@ -23,10 +23,10 @@
 // plans with the fiber connectivity chain), the pair stays denied.
 //
 // Determinism contract (pinned in te_test): each pair draws from its own
-// Rng seeded hash_combine(seed, pair index), so outcomes are independent
-// of sharding — race() with any thread count is byte-identical to the
-// serial oracle race_serial(). Healthy pairs consume exactly one
-// always-success draw, so a degraded pair never perturbs its neighbors.
+// Rng seeded hash_combine(seed, pair index), so a pair's outcome depends
+// on its own inputs only. Healthy pairs consume exactly one always-success
+// draw, so a degraded pair never perturbs its neighbors. race() is one
+// serial loop; parallelism belongs to the sweep across failure draws.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,9 +46,6 @@ struct RacingOptions {
   /// Handshake attempts per candidate before it abandons the race.
   std::size_t max_attempts = 3;
   std::uint64_t seed = 0;
-  /// 1 = serial, 0 = all cores; outcomes are byte-identical for every
-  /// value (and equal to race_serial).
-  std::size_t threads = 1;
 };
 
 enum class RaceWinner : std::uint8_t { Microwave, Fiber, None };
@@ -84,7 +81,8 @@ struct RacingReport {
 /// Races candidates for a fixed demand set over one plan. Construction
 /// precomputes the per-pair fiber fallback paths (one Dijkstra per
 /// distinct source over the fiber-only subgraph); race() is then cheap
-/// enough to run per failure draw. `plan` must outlive the racer.
+/// enough to run per failure draw. The racer keeps no reference to
+/// `plan`.
 class CandidateRacer {
  public:
   CandidateRacer(const LinkPlan& plan, std::vector<TrafficDemand> demands,
@@ -95,11 +93,6 @@ class CandidateRacer {
   /// (RouteRepairer::link_state()) the MW attempt probabilities read.
   [[nodiscard]] RacingReport race(const std::vector<PairRoute>& routes,
                                   const std::vector<LinkState>& state) const;
-
-  /// The sharding-free oracle: same inputs, same bytes, one loop.
-  [[nodiscard]] RacingReport race_serial(
-      const std::vector<PairRoute>& routes,
-      const std::vector<LinkState>& state) const;
 
   /// The intact-plan view candidate paths index into (shared layout with
   /// RouteRepairer::view() for the same plan).
@@ -115,7 +108,7 @@ class CandidateRacer {
                                       const std::vector<LinkState>& state)
       const;
 
-  const LinkPlan* plan_;
+  std::size_t link_count_;  ///< plan links; race() checks `state` against it
   TopologyView topo_;
   std::vector<TrafficDemand> demands_;
   RacingOptions options_;

@@ -244,19 +244,13 @@ std::size_t rebalance_congested(const SimTopologyView& view,
 
 RouteRepairer::RouteRepairer(const LinkPlan& plan,
                              std::vector<TrafficDemand> demands,
-                             DetourPolicy policy, flow::DirectKmFn direct_km,
-                             std::size_t threads)
-    : plan_(&plan),
-      topo_(view_from_plan(plan)),
+                             DetourPolicy policy, flow::DirectKmFn direct_km)
+    : topo_(view_from_plan(plan)),
       demands_(std::move(demands)),
       policy_(policy),
-      direct_km_(std::move(direct_km)),
-      threads_(threads) {
+      direct_km_(std::move(direct_km)) {
   CISP_REQUIRE(direct_km_ != nullptr, "RouteRepairer needs a direct_km fn");
   CISP_REQUIRE(policy_.candidates >= 1, "detour candidates must be >= 1");
-  if (threads_ != 1) {
-    executor_ = std::make_unique<engine::Executor>(threads_);
-  }
   state_.assign(plan.links.size(), LinkState{});
 
   std::vector<std::size_t> slot_of_node(plan.node_count, kNoSlot);
@@ -273,13 +267,8 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
 
   trees_.resize(sources_.size());
   const graphs::EdgeMask mask = make_mask(state_);
-  const auto build_tree = [&](std::size_t s) {
+  for (std::size_t s = 0; s < sources_.size(); ++s) {
     trees_[s] = graphs::dijkstra(topo_.view.latency_graph, sources_[s], mask);
-  };
-  if (executor_) {
-    engine::parallel_for(*executor_, sources_.size(), build_tree);
-  } else {
-    for (std::size_t s = 0; s < sources_.size(); ++s) build_tree(s);
   }
 
   baseline_paths_.reserve(demands_.size());
@@ -300,18 +289,12 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
 }
 
 void RouteRepairer::evaluate_pairs(const std::vector<std::size_t>& dirty) {
-  const auto evaluate = [&](std::size_t i) {
-    const std::size_t p = dirty[i];
+  for (const std::size_t p : dirty) {
     bool on_baseline = false;
     routes_[p] = evaluate_pair(topo_.view, trees_[source_slot_[p]],
                                demands_[p], baseline_paths_[p], policy_,
                                state_, direct_km_, &on_baseline);
     on_baseline_[p] = on_baseline ? 1 : 0;
-  };
-  if (executor_) {
-    engine::parallel_for(*executor_, dirty.size(), evaluate);
-  } else {
-    for (std::size_t i = 0; i < dirty.size(); ++i) evaluate(i);
   }
 }
 
@@ -385,14 +368,8 @@ RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
   }
 
   const graphs::EdgeMask mask = make_mask(state_);
-  const auto rebuild = [&](std::size_t i) {
-    const std::size_t s = affected[i];
+  for (const std::size_t s : affected) {
     trees_[s] = graphs::dijkstra(graph, sources_[s], mask);
-  };
-  if (executor_) {
-    engine::parallel_for(*executor_, affected.size(), rebuild);
-  } else {
-    for (std::size_t i = 0; i < affected.size(); ++i) rebuild(i);
   }
 
   // Dirty = pairs whose tree changed + pairs currently off their baseline

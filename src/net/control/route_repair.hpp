@@ -27,8 +27,9 @@
 //
 // The route of a pair is a pure function of (plan, link state, policy):
 // `apply` after any delta sequence yields byte-identical routes to
-// `full_recompute` on the same cumulative state, at every thread count.
-// Tests pin both properties.
+// `full_recompute` on the same cumulative state; tests pin this. Repair
+// is serial: a batch costs a fraction of a millisecond, so parallelism
+// belongs to the sweep across failure draws and weather hours.
 //
 // Detour policy: a pair whose tree path left its baseline chooses among up
 // to `candidates` masked Yen paths, keeps only those with stretch (path
@@ -54,7 +55,6 @@
 #include <limits>
 #include <vector>
 
-#include "engine/executor.hpp"
 #include "graph/dijkstra.hpp"
 #include "net/builder.hpp"
 #include "net/flow/monitors.hpp"
@@ -113,13 +113,10 @@ struct RepairStats {
 
 class RouteRepairer {
  public:
-  /// `plan` and `direct_km` must outlive the repairer. Every demand must be
-  /// routable on the intact plan (same contract as compute_routes).
-  /// `threads`: 1 = serial, 0 = all cores, N = N workers — routes are
-  /// byte-identical for every value.
+  /// Every demand must be routable on the intact plan (same contract as
+  /// compute_routes). The repairer keeps no reference to `plan`.
   RouteRepairer(const LinkPlan& plan, std::vector<TrafficDemand> demands,
-                DetourPolicy policy, flow::DirectKmFn direct_km,
-                std::size_t threads = 1);
+                DetourPolicy policy, flow::DirectKmFn direct_km);
 
   /// Applies a batch of link deltas and repairs affected routes. Returns
   /// what the batch touched. Deltas referencing out-of-range links or
@@ -157,13 +154,10 @@ class RouteRepairer {
  private:
   void evaluate_pairs(const std::vector<std::size_t>& dirty);
 
-  const LinkPlan* plan_;
   TopologyView topo_;
   std::vector<TrafficDemand> demands_;
   DetourPolicy policy_;
   flow::DirectKmFn direct_km_;
-  std::size_t threads_;
-  std::unique_ptr<engine::Executor> executor_;
 
   std::vector<LinkState> state_;
   std::vector<graphs::NodeId> sources_;      ///< distinct demand sources

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <limits>
 
-#include "net/flow/shard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -12,9 +11,6 @@
 namespace cisp::net::flow {
 
 namespace {
-
-using detail::sharded_apply;
-using detail::sharded_max;
 
 /// Prices below this are "effectively zero": the link is unpriced, its
 /// capacity residual only matters when overloaded (complementary
@@ -58,12 +54,6 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
                             static_cast<double>(paths.size()));
   const std::size_t flows = paths.size();
   const std::size_t edges = view.latency_graph.edge_count();
-
-  std::unique_ptr<engine::Executor> pool;
-  if (options.threads != 1 && flows >= options.parallel_cutoff) {
-    pool = std::make_unique<engine::Executor>(options.threads);
-  }
-  const std::size_t cutoff = std::max<std::size_t>(1, options.parallel_cutoff);
 
   // Per-flow edge sequences and the edge -> flows incidence. The warm
   // state caches the structure across solves; the demand-gated key keeps
@@ -137,24 +127,21 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
   std::vector<char> all_capped(edges, 0);
 
   // Dual ascent: rates from path prices, prices from relative overload.
-  // Every write is per-slot; the residual is an exact max reduction — the
-  // iterate sequence (and thus the stop iteration) is identical at every
-  // thread count.
   for (std::size_t t = 0;; ++t) {
-    sharded_apply(pool.get(), cutoff, flows, [&](std::size_t f) {
-      if (demand[f] <= 0.0) return;
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (demand[f] <= 0.0) continue;
       double q = 0.0;
       for (const graphs::EdgeId eid : flow_edges[f]) q += price[eid];
       if (q <= 0.0) {
         rate[f] = demand[f];
-        return;
+        continue;
       }
       const double fair = options.alpha == 1.0
                               ? weight[f] / q
                               : std::pow(weight[f] / q, inv_alpha);
       rate[f] = std::min(demand[f], fair);
-    });
-    sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
+    }
+    for (std::size_t e = 0; e < edges; ++e) {
       double sum = 0.0;
       bool capped = true;
       for (const std::uint32_t f : edge_flows[e]) {
@@ -163,21 +150,26 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
       }
       load[e] = sum;
       all_capped[e] = capped ? 1 : 0;
-    });
+    }
 
-    const double residual = sharded_max(
-        pool.get(), cutoff, edges, [&](std::size_t e) {
-          if (count[e] == 0 || cap[e] <= 0.0) return 0.0;
-          const double overload = (load[e] - cap[e]) / cap[e];
-          if (overload > 0.0) return overload;
+    double residual = -std::numeric_limits<double>::infinity();
+    for (std::size_t e = 0; e < edges; ++e) {
+      double kkt = 0.0;
+      if (count[e] > 0 && cap[e] > 0.0) {
+        const double overload = (load[e] - cap[e]) / cap[e];
+        if (overload > 0.0) {
+          kkt = overload;
+        } else if (price[e] > kPriceZero && !all_capped[e]) {
           // Underloaded: the KKT violation is the complementary-slackness
           // gap price * slack, which vanishes as the price decays — NOT
           // the raw slack, which would stall convergence on links whose
           // flows all sit at their demand caps (those links get unpriced
           // in one step below, so their gap is already zero).
-          if (price[e] <= kPriceZero || all_capped[e]) return 0.0;
-          return price[e] * -overload;
-        });
+          kkt = price[e] * -overload;
+        }
+      }
+      residual = std::max(residual, kkt);
+    }
     ++out.rounds;
     ++out.dual_iterations;
     obs::trace_counter("alpha_fair.kkt_residual", residual);
@@ -186,8 +178,8 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
     }
 
     const double step = kStep0 / std::sqrt(static_cast<double>(t) + 1.0);
-    sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
-      if (count[e] == 0 || cap[e] <= 0.0) return;
+    for (std::size_t e = 0; e < edges; ++e) {
+      if (count[e] == 0 || cap[e] <= 0.0) continue;
       const double raw = (load[e] - cap[e]) / cap[e];
       if (raw <= 0.0 && all_capped[e]) {
         // Headroom and every crossing flow demand-capped: the KKT price
@@ -195,11 +187,11 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
         // cut only raises fair shares, which the caps absorb) — jump
         // instead of decaying over thousands of iterations.
         price[e] = kPriceFloor;
-        return;
+        continue;
       }
       const double overload = std::clamp(raw, -kGradClamp, kGradClamp);
       price[e] = std::max(kPriceFloor, price[e] * std::exp(step * overload));
-    });
+    }
   }
 
   if (options.warm != nullptr) {
@@ -210,8 +202,8 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
   // Feasibility repair: a not-fully-converged dual iterate can overshoot a
   // capacity slightly; scale every flow by its worst residual overload so
   // the allocation is strictly feasible.
-  sharded_apply(pool.get(), cutoff, flows, [&](std::size_t f) {
-    if (demand[f] <= 0.0) return;
+  for (std::size_t f = 0; f < flows; ++f) {
+    if (demand[f] <= 0.0) continue;
     double scale = 1.0;
     for (const graphs::EdgeId eid : flow_edges[f]) {
       if (load[eid] > cap[eid]) {
@@ -219,12 +211,12 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
       }
     }
     rate[f] *= scale;
-  });
-  sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
+  }
+  for (std::size_t e = 0; e < edges; ++e) {
     double sum = 0.0;
     for (const std::uint32_t f : edge_flows[e]) sum += rate[f];
     load[e] = sum;
-  });
+  }
 
   // Pareto fill: hand the leftover capacity out max-min fairly against the
   // unmet demand, so no flow is left below its demand while every one of
@@ -256,11 +248,11 @@ Allocation alpha_fair_allocate(const SimTopologyView& view,
   for (std::size_t f = 0; f < flows; ++f) {
     out.rate_bps[f] = (rate[f] + fill.rate_bps[f]) * cap_scale;
   }
-  sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
+  for (std::size_t e = 0; e < edges; ++e) {
     double sum = 0.0;
     for (const std::uint32_t f : edge_flows[e]) sum += out.rate_bps[f];
     out.edge_load_bps[e] = sum;
-  });
+  }
   for (std::size_t e = 0; e < edges; ++e) {
     if (count[e] > 0 &&
         out.edge_load_bps[e] >= view.capacity_bps[e] * (1.0 - 1e-9)) {

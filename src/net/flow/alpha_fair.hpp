@@ -22,12 +22,9 @@
 // the leftover capacity), so the returned allocation never oversubscribes
 // a link and never strands capacity a flow still wants.
 //
-// Determinism contract: the returned allocation is byte-identical for
-// EVERY thread count. Every sharded piece is either a per-slot write
-// (rates, loads, prices) or an exact extremum reduction (the convergence
-// residual) — no floating-point accumulation ever depends on chunk
-// boundaries, and the iteration count is itself a deterministic function
-// of the input. The Pareto fill and the max-min dispatch are serial.
+// The allocator is serial and deterministic: the iteration count and the
+// returned bytes are a pure function of the input. Parallelism belongs to
+// the sweep across independent cells, not to one allocation.
 
 #include <cstddef>
 #include <vector>
@@ -41,11 +38,6 @@ struct ElasticOptions {
   /// Fairness exponent (> 0). 1 = proportional fairness; values >=
   /// kMaxMinAlpha (or +infinity) dispatch to the exact max-min allocator.
   double alpha = 1.0;
-  /// Worker threads for the sharded iterations. 1 = fully serial (no pool
-  /// is ever constructed); 0 = engine::default_thread_count().
-  std::size_t threads = 1;
-  /// Below this flow count the iterations run serially even with a pool.
-  std::size_t parallel_cutoff = 4096;
   /// Dual-ascent iteration cap. The feasibility/fill cleanup makes the
   /// result usable even when the cap is hit before `tolerance`.
   std::size_t max_iterations = 6000;

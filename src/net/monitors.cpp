@@ -29,9 +29,8 @@ const FlowMonitor::FlowStats& FlowMonitor::flow(std::uint32_t flow_id) const {
 
 double FlowMonitor::mean_delay_s() const {
   if (received_ == 0) return 0.0;
-  // Accumulate per-flow sums in ascending flow-id order: the per-flow sum
-  // sees only that flow's arrival order (identical in sharded and single
-  // runs), and the fixed outer order makes the aggregate shard-invariant.
+  // Accumulate per-flow sums in ascending flow-id order: a fixed outer
+  // order keeps the aggregate independent of the hash map's layout.
   std::vector<std::uint32_t> ids;
   ids.reserve(flows_.size());
   for (const auto& [id, stats] : flows_) ids.push_back(id);
@@ -39,15 +38,6 @@ double FlowMonitor::mean_delay_s() const {
   double sum = 0.0;
   for (const std::uint32_t id : ids) sum += flows_.at(id).delay_s.sum();
   return sum / static_cast<double>(received_);
-}
-
-void FlowMonitor::absorb(const FlowMonitor& other) {
-  for (const auto& [id, stats] : other.flows_) {
-    const bool inserted = flows_.emplace(id, stats).second;
-    CISP_REQUIRE(inserted, "shard merge saw a duplicate flow id");
-  }
-  sent_ += other.sent_;
-  received_ += other.received_;
 }
 
 double FlowMonitor::loss_rate() const {

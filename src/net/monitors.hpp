@@ -30,9 +30,8 @@ class FlowMonitor {
   }
 
   /// Aggregate mean one-way delay over all delivered packets, seconds.
-  /// Summed per flow in ascending flow-id order so the result is invariant
-  /// to packet interleaving across flows — in particular, to how a sharded
-  /// run partitions flows between simulators.
+  /// Summed per flow in ascending flow-id order, so the result does not
+  /// depend on the flow map's iteration order.
   [[nodiscard]] double mean_delay_s() const;
   /// Aggregate loss rate in [0, 1]: 1 - received/sent packets.
   [[nodiscard]] double loss_rate() const;
@@ -40,11 +39,6 @@ class FlowMonitor {
   [[nodiscard]] std::uint64_t total_received() const noexcept {
     return received_;
   }
-
-  /// Merges another monitor's flows into this one (shard merge). Flow-id
-  /// sets are expected to be disjoint; duplicate ids would interleave
-  /// per-flow statistics and are rejected.
-  void absorb(const FlowMonitor& other);
 
  private:
   std::unordered_map<std::uint32_t, FlowStats> flows_;

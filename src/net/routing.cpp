@@ -264,17 +264,14 @@ RoutingResult compute_routes(const SimTopologyView& view,
   return result;
 }
 
-void install_paths(Network& network, const SimTopologyView& view,
-                   const std::vector<TrafficDemand>& demands,
-                   const RoutingResult& routes,
-                   const std::vector<std::size_t>& subset) {
+RoutingResult install_routes(Network& network, const SimTopologyView& view,
+                             const std::vector<TrafficDemand>& demands,
+                             RoutingScheme scheme) {
   CISP_REQUIRE(view.latency_graph.node_count() == network.node_count(),
                "view/network size mismatch");
-  for (const std::size_t d : subset) {
-    const auto& path = routes.paths[d];
-    CISP_REQUIRE(path.edges.size() + 1 == path.nodes.size() ||
-                     path.nodes.size() < 2,
-                 "install_paths needs pinned path edges");
+  RoutingResult result = compute_routes(view, demands, scheme);
+  for (std::size_t d = 0; d < demands.size(); ++d) {
+    const auto& path = result.paths[d];
     for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
       // Install the route at the hop's source node.
       network.node(path.nodes[i])
@@ -282,15 +279,6 @@ void install_paths(Network& network, const SimTopologyView& view,
                      &network.link(view.edge_to_link[path.edges[i]]));
     }
   }
-}
-
-RoutingResult install_routes(Network& network, const SimTopologyView& view,
-                             const std::vector<TrafficDemand>& demands,
-                             RoutingScheme scheme) {
-  RoutingResult result = compute_routes(view, demands, scheme);
-  std::vector<std::size_t> all(demands.size());
-  for (std::size_t d = 0; d < all.size(); ++d) all[d] = d;
-  install_paths(network, view, demands, result, all);
   return result;
 }
 

@@ -85,15 +85,6 @@ struct MultipathRouteSet {
     const SimTopologyView& view, const std::vector<TrafficDemand>& demands,
     RoutingScheme scheme);
 
-/// Installs the per-(src,dst) next hops of a subset of already-computed
-/// paths into the network nodes. `subset` lists demand indices; paths must
-/// have their edges pinned (compute_routes pins them). The sharded packet
-/// backend uses this to wire only a shard's own flows into its network.
-void install_paths(Network& network, const SimTopologyView& view,
-                   const std::vector<TrafficDemand>& demands,
-                   const RoutingResult& routes,
-                   const std::vector<std::size_t>& subset);
-
 /// compute_routes + installs the per-(src,dst) next hops into the network
 /// nodes (the packet backend's wiring step).
 RoutingResult install_routes(Network& network, const SimTopologyView& view,

@@ -34,8 +34,7 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
       // control plane sees planning-time demand, so diurnal swings never
       // churn routes — only link-state deltas do. The allocator runs on
       // the epoch rates.
-      repairer_(plan, base_.to_demands(), options_.policy, direct_km_,
-                options_.threads),
+      repairer_(plan, base_.to_demands(), options_.policy, direct_km_),
       topo_(view_from_plan(plan)) {
   CISP_REQUIRE(options_.backend != TrafficBackend::Packet,
                "the timeline driver is fluid-only (Flow or Elastic)");
@@ -125,7 +124,6 @@ EpochStats TimelineDriver::evaluate(
   elastic.alpha = options_.backend == TrafficBackend::Elastic
                       ? options_.alpha
                       : std::numeric_limits<double>::infinity();
-  elastic.threads = options_.threads;
   elastic.warm = warm;
   flow::Realization realized =
       flow::realize(view, demands, std::move(routes), elastic, direct_km_);

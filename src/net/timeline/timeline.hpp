@@ -21,7 +21,7 @@
 // independent cell for the max-min backend (cold_start() below IS that
 // independent-cell evaluation), and within the allocator's KKT residual
 // for alpha-fair. Determinism: every epoch report is byte-identical at
-// every thread count, like everything else in the repo.
+// every thread count (only the TE split reads `threads`).
 //
 // The driver also folds per-pair availability over the run (an epoch
 // counts as available for a pair when delivered >= served_frac * offered)
@@ -86,9 +86,9 @@ struct TimelineOptions {
   /// Flow (max-min) or Elastic (alpha-fair); Packet is rejected.
   TrafficBackend backend = TrafficBackend::Flow;
   double alpha = 1.0;
-  /// Alpha-fair, repair and TE sharding (1 = serial, 0 = all cores; the
-  /// max-min allocator is always serial); outputs are byte-identical for
-  /// every value.
+  /// Worker threads of the multipath_te split: candidate gather and
+  /// simplex row sharding (1 = serial, 0 = all cores); outputs are
+  /// byte-identical for every value. Repair and allocation are serial.
   std::size_t threads = 1;
   /// An epoch counts toward a pair's availability when
   /// delivered >= served_frac * offered.

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <thread>
 
-#include "engine/executor.hpp"
 #include "geo/latlon.hpp"
 #include "net/flow/multipath.hpp"
-#include "net/shard.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -63,76 +60,29 @@ class PacketTrafficModel final : public TrafficModel {
                  "route and capacity overrides are fluid-only");
     const obs::TraceSpan span("traffic.packet", "traffic", "flows",
                               static_cast<double>(demands.flow_count()));
-    // Plan and route once, centrally: routes pin their edges, which both
-    // defines the shard partition and lets each shard install only its own
-    // paths into its own network copy.
     const LinkPlan plan =
         options.plan ? *options.plan : plan_links(input_, plan_, build_);
-    const TopologyView topo = view_from_plan(plan);
+    SimInstance instance = build_sim_from_plan(plan);
     const auto demand_list = demands.to_demands();
-    const RoutingResult routes =
-        compute_routes(topo.view, demand_list, options.scheme);
-    // Phase seeds are drawn once, globally, in demand order — every flow
-    // keeps the phase it would have had in a single-simulator run.
-    const std::vector<SeededDemand> seeded = seed_udp_demands(
-        demand_list, 0.0, options.sim_duration_s, options.seed);
-
-    const std::size_t threads = options.threads == 0
-                                    ? engine::default_thread_count()
-                                    : options.threads;
-    const ShardPlan shard_plan = shard_by_path_edges(
-        routes, demand_list.size(),
-        options.packet_shards == 0 ? threads : options.packet_shards);
-    const std::size_t shard_count = shard_plan.shards.size();
-
-    std::vector<std::uint8_t> demand_seeded(demand_list.size(), 0);
-    std::vector<std::uint64_t> seed_of(demand_list.size(), 0);
-    for (const SeededDemand& sd : seeded) {
-      demand_seeded[sd.index] = 1;
-      seed_of[sd.index] = sd.seed;
-    }
-
-    const Time end = options.sim_duration_s + options.drain_s;
-    std::vector<SimInstance> instances(shard_count);
-    const auto run_shard = [&](std::size_t s) {
-      SimInstance& instance = instances[s];
-      instance = build_sim_from_plan(plan);
-      install_paths(*instance.network, instance.view, demand_list, routes,
-                    shard_plan.shards[s]);
-      std::vector<SeededDemand> shard_seeded;
-      for (const std::size_t d : shard_plan.shards[s]) {
-        if (demand_seeded[d]) shard_seeded.push_back({d, seed_of[d]});
-      }
-      const auto sources = attach_udp_sources(
-          instance, demand_list, shard_seeded, 0.0, options.sim_duration_s);
-      instance.sim->run_until(end);
-    };
-    if (shard_count > 1 && threads > 1) {
-      engine::Executor executor(threads);
-      engine::parallel_for(executor, shard_count, run_shard);
-    } else {
-      for (std::size_t s = 0; s < shard_count; ++s) run_shard(s);
-    }
-
-    // Deterministic merge: shards are consumed in shard order, and the
-    // monitor's aggregates are defined flow-id-order anyway.
-    FlowMonitor merged;
-    for (SimInstance& instance : instances) {
-      merged.absorb(instance.monitor);
-    }
+    const RoutingResult routes = install_routes(
+        *instance.network, instance.view, demand_list, options.scheme);
+    const auto sources = attach_udp_workload(
+        instance, demand_list, 0.0, options.sim_duration_s, options.seed);
+    instance.sim->run_until(options.sim_duration_s + options.drain_s);
+    const FlowMonitor& monitor = instance.monitor;
 
     TrafficReport report;
     report.stats.backend = TrafficBackend::Packet;
     report.stats.flows = demands.flow_count();
     report.stats.users = demands.total_users();
-    report.stats.mean_delay_s = merged.mean_delay_s();
-    report.stats.loss_rate = merged.loss_rate();
+    report.stats.mean_delay_s = monitor.mean_delay_s();
+    report.stats.loss_rate = monitor.loss_rate();
     report.stats.mean_path_latency_s = routes.mean_path_latency_s;
     report.stats.predicted_max_utilization = routes.max_link_utilization;
 
     // Per-pair breakdown from the measured flow stats: delivered rate via
     // the packet delivery ratio, latency measured when any packet arrived.
-    const auto& flows = merged.flows();
+    const auto& flows = monitor.flows();
     double stretch_acc = 0.0;
     for (std::size_t f = 0; f < demands.pairs().size(); ++f) {
       const flow::PairDemand& pair = demands.pairs()[f];
@@ -141,7 +91,7 @@ class PacketTrafficModel final : public TrafficModel {
       row.dst = pair.dst;
       row.users = pair.users;
       row.offered_bps = pair.rate_bps;
-      row.latency_s = path_latency_s(topo.view, routes.paths[f]);
+      row.latency_s = path_latency_s(instance.view, routes.paths[f]);
       const auto it = flows.find(static_cast<std::uint32_t>(f));
       if (it != flows.end() && it->second.sent_packets > 0) {
         row.delivered_bps =
@@ -309,7 +259,6 @@ class FluidTrafficModel final : public TrafficModel {
     elastic.alpha = backend_ == TrafficBackend::Elastic
                         ? options.alpha
                         : std::numeric_limits<double>::infinity();
-    elastic.threads = options.threads;
     flow::Realization realized = flow::realize(
         topo.view, demands, std::move(routes), elastic,
         [this](std::uint32_t s, std::uint32_t t) {

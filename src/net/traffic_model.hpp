@@ -4,7 +4,8 @@
 //
 //   Packet backend — the discrete-event simulator: UDP CBR sources, real
 //   queues, measured delay/loss. Fidelity reference; cost grows with the
-//   packet count, capping instances at thousands of endpoints.
+//   packet count, capping instances at thousands of endpoints. One run is
+//   one serial simulator; parallelism belongs to the sweep across cells.
 //
 //   Flow backend — fluid max-min fair rate allocation over the same
 //   topology and routes (src/net/flow/): no per-packet state, so
@@ -62,16 +63,10 @@ struct TrafficRunOptions {
   double sim_duration_s = 0.3;
   double drain_s = 0.2;
   std::uint64_t seed = 0;
-  /// Elastic backend: alpha-fair sharding (1 = serial; 0 = all cores; the
-  /// allocation is byte-identical for every value; the max-min allocator
-  /// is always serial). The packet backend
-  /// uses the same knob to size the executor its shards run on.
+  /// Read by no backend: every backend runs serially, and sweeps run
+  /// their cells in parallel instead. Kept for the perfbench harness,
+  /// which still assigns it.
   std::size_t threads = 1;
-  /// Packet backend: shard simulator count for edge-disjoint flow groups
-  /// (0 = auto: fold the groups onto the resolved thread count; 1 = one
-  /// simulator, the pre-sharding behavior). Per-flow results are
-  /// byte-identical for every value — groups never share a queue.
-  std::size_t packet_shards = 0;
   /// Elastic backend: fairness exponent (1 = proportional fairness;
   /// >= flow::kMaxMinAlpha or infinity recovers max-min exactly). The
   /// Flow backend is the alpha = +infinity case and ignores this.

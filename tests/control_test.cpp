@@ -1,8 +1,8 @@
 // Tests for the failure-reactive control plane (net/control): incremental
 // route repair must be byte-identical to the full-recompute oracle after
-// arbitrary delta sequences (down/up/derate, several seeds and topologies)
-// and invariant across thread counts; the detour policy must never admit a
-// route over its stretch bound; the constructed A/B/C fixture pins the PR 5
+// arbitrary delta sequences (down/up/derate, several seeds and
+// topologies); the detour policy must never admit a route over its
+// stretch bound; the constructed A/B/C fixture pins the PR 5
 // non-monotonicity under pinned routing AND its repair under the control
 // plane; the weather coupling must be deterministic, bounded, MW-only and
 // monotone in path length; and the traffic-model seam must honor denied
@@ -197,37 +197,6 @@ TEST(RouteRepair, MatchesFullRecomputeAfterEveryRandomizedStep) {
       expect_routes_equal(repairer.routes(), intact, "after reset");
     }
     ++fixture_id;
-  }
-}
-
-TEST(RouteRepair, RoutesAreThreadCountInvariant) {
-  control::DetourPolicy policy;
-  policy.max_stretch = 2.2;
-  for (const Fixture& f : {square_fixture(), random_fixture(71)}) {
-    // Pre-draw the batches so every thread count replays the same history.
-    Rng rng(5);
-    std::vector<std::vector<control::LinkDelta>> batches;
-    for (int step = 0; step < 15; ++step) {
-      batches.push_back(random_batch(rng, f.plan.links.size()));
-    }
-    control::RouteRepairer reference(f.plan, f.demands, policy, f.direct_km(),
-                                     1);
-    std::vector<std::vector<control::PairRoute>> expected;
-    for (const auto& batch : batches) {
-      (void)reference.apply(batch);
-      expected.push_back(reference.routes());
-    }
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                      std::size_t{0}}) {
-      control::RouteRepairer repairer(f.plan, f.demands, policy,
-                                      f.direct_km(), threads);
-      for (std::size_t step = 0; step < batches.size(); ++step) {
-        (void)repairer.apply(batches[step]);
-        SCOPED_TRACE("threads " + std::to_string(threads) + " step " +
-                     std::to_string(step));
-        expect_routes_equal(repairer.routes(), expected[step], "threads/1");
-      }
-    }
   }
 }
 

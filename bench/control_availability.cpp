@@ -82,16 +82,15 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   weather::RainParams rain_params;
   rain_params.seed = splitmix64(ctx.base_seed + 7);
   const weather::RainField rain(box, rain_params);
-  const auto geometry =
-      net::control::link_geometry(base_plan, instance.problem.sites);
-  const net::control::WeatherCouplingParams coupling;
+  const net::control::LinkWeatherSampler sampler(
+      base_plan,
+      net::control::link_geometry(base_plan, instance.problem.sites));
 
   std::vector<std::vector<double>> epoch_factors(epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
     const double t_s = (static_cast<double>(e) + 0.5) * weather::kYearS /
                        static_cast<double>(epochs);
-    epoch_factors[e] = net::control::link_capacity_factors(
-        base_plan, geometry, rain, t_s, coupling);
+    sampler.factors(rain.snapshot(t_s), epoch_factors[e]);
   }
 
   // The FailureModel coupling: the same pipeline calibrates RandomDown's

@@ -554,7 +554,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     for (std::size_t e = 0; e < te_topo.view.capacity_bps.size(); ++e) {
       const auto& ls = te_state[te_topo.view.edge_to_link[e] / 2];
       te_topo.view.capacity_bps[e] =
-          te_nominal[e] * (ls.up ? ls.capacity_factor : 0.0);
+          te_nominal[e] * ls.effective_factor();
     }
     volatile double u = net::te::solve_splits(te_topo.view, repair_demands,
                                               repair_direct,

@@ -135,7 +135,7 @@ RaceOutcome CandidateRacer::race_pair(std::size_t pair,
          net::path_edges(topo_.view.latency_graph, mw.path)) {
       if (!edge_is_mw_[eid]) continue;
       const LinkState& ls = state[topo_.view.edge_to_link[eid] / 2];
-      mw_success = std::min(ls.up ? ls.capacity_factor : 0.0, mw_success);
+      mw_success = std::min(ls.effective_factor(), mw_success);
     }
   }
 

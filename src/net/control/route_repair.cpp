@@ -441,7 +441,7 @@ std::vector<double> RouteRepairer::capacity_factors() const {
   std::vector<double> factors;
   factors.reserve(state_.size());
   for (const LinkState& link : state_) {
-    factors.push_back(link.up ? link.capacity_factor : 0.0);
+    factors.push_back(link.effective_factor());
   }
   return factors;
 }

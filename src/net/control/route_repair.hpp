@@ -78,6 +78,12 @@ struct LinkDelta {
 struct LinkState {
   bool up = true;
   double capacity_factor = 1.0;
+
+  /// The capacity multiplier the link carries: its derate when up, 0 when
+  /// down.
+  [[nodiscard]] double effective_factor() const noexcept {
+    return up ? capacity_factor : 0.0;
+  }
 };
 
 /// Detour admission policy for pairs displaced from their baseline path.

@@ -52,7 +52,8 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
   if (options_.rain != nullptr) {
     CISP_REQUIRE(sites_.size() == plan.node_count,
                  "weather coupling needs one site position per plan node");
-    geometry_ = control::link_geometry(plan, sites_);
+    weather_.emplace(plan, control::link_geometry(plan, sites_),
+                     options_.coupling);
   }
   if (options_.factor_schedule != nullptr) {
     CISP_REQUIRE(!options_.factor_schedule->empty(),
@@ -92,18 +93,21 @@ double TimelineDriver::epoch_growth(double utc_hour) const {
   return scale;
 }
 
-std::vector<double> TimelineDriver::epoch_link_factors(
-    std::size_t epoch_index) const {
-  if (options_.rain != nullptr) {
-    return control::link_capacity_factors(*plan_, geometry_, *options_.rain,
-                                          epoch_hour(epoch_index) * 3600.0,
-                                          options_.coupling);
+void TimelineDriver::epoch_link_factors(std::size_t epoch_index,
+                                        weather::RainSnapshot& rain,
+                                        std::vector<double>& factors) const {
+  if (weather_) {
+    // The field covers [0, year]; later epochs replay its year.
+    double t_s = epoch_hour(epoch_index) * 3600.0;
+    if (t_s > weather::kYearS) t_s = std::fmod(t_s, weather::kYearS);
+    options_.rain->snapshot(t_s, rain);
+    weather_->factors(rain, factors);
+  } else if (options_.factor_schedule != nullptr) {
+    factors = (*options_.factor_schedule)[epoch_index %
+                                          options_.factor_schedule->size()];
+  } else {
+    factors.assign(plan_->links.size(), 1.0);
   }
-  if (options_.factor_schedule != nullptr) {
-    return (*options_.factor_schedule)[epoch_index %
-                                       options_.factor_schedule->size()];
-  }
-  return std::vector<double>(plan_->links.size(), 1.0);
 }
 
 EpochStats TimelineDriver::evaluate(
@@ -144,13 +148,14 @@ EpochStats TimelineDriver::evaluate(
   row.allocation_rounds = realized.allocation.rounds;
   row.dual_iterations = realized.allocation.dual_iterations;
 
-  Samples pair_stretch;
+  std::vector<double> pair_stretch;
+  pair_stretch.reserve(outcomes.size());
   double served_sum = 0.0;
   double served_sum_sq = 0.0;
   std::size_t offered_pairs = 0;
   std::size_t available = 0;
   for (const flow::PairOutcome& pair : outcomes) {
-    pair_stretch.add(pair.stretch);
+    pair_stretch.push_back(pair.stretch);
     if (pair.offered_bps <= 0.0 ||
         pair.delivered_bps >= options_.served_frac * pair.offered_bps) {
       ++available;
@@ -161,7 +166,8 @@ EpochStats TimelineDriver::evaluate(
     served_sum_sq += frac * frac;
     ++offered_pairs;
   }
-  row.p99_stretch = pair_stretch.empty() ? 0.0 : pair_stretch.percentile(99.0);
+  row.p99_stretch =
+      pair_stretch.empty() ? 0.0 : select_percentile(pair_stretch, 99.0);
   row.jain_fairness =
       served_sum_sq > 0.0
           ? served_sum * served_sum /
@@ -199,20 +205,20 @@ EpochStats TimelineDriver::step() {
 
   // Link churn only: the repairer sees the delta between consecutive
   // epochs, never the full state.
-  const std::vector<double> factors = epoch_link_factors(e);
+  epoch_link_factors(e, rain_snapshot_, factors_);
   const std::vector<control::LinkDelta> deltas =
-      control::deltas_from_factors(*plan_, factors, repairer_.link_state());
+      control::deltas_from_factors(*plan_, factors_, repairer_.link_state());
   const control::RepairStats repair = repairer_.apply(deltas);
 
   // In-place demand rewrite (no user re-apportionment) and in-place
   // capacity rewrite on the stable graph.
   scenario::apply_diurnal_in_place(base_, options_.diurnal, hour, growth,
                                    current_);
-  const std::vector<double> cap_factors = repairer_.capacity_factors();
+  const std::vector<control::LinkState>& state = repairer_.link_state();
   for (std::size_t edge = 0; edge < topo_.view.capacity_bps.size(); ++edge) {
     topo_.view.capacity_bps[edge] =
         nominal_capacity_bps_[edge] *
-        cap_factors[topo_.view.edge_to_link[edge] / 2];
+        state[topo_.view.edge_to_link[edge] / 2].effective_factor();
   }
 
   // TE mode: the epoch's split weights re-solve against the degraded
@@ -257,7 +263,9 @@ std::vector<EpochStats> TimelineDriver::run() {
 EpochStats TimelineDriver::evaluate_cold(std::size_t epoch_index) const {
   const double hour = epoch_hour(epoch_index);
   const double growth = epoch_growth(hour);
-  const std::vector<double> factors = epoch_link_factors(epoch_index);
+  weather::RainSnapshot rain;
+  std::vector<double> factors;
+  epoch_link_factors(epoch_index, rain, factors);
 
   // Cumulative link state straight from the epoch's factors — the same
   // state deltas_from_factors would have walked the repairer into (MW
@@ -276,9 +284,8 @@ EpochStats TimelineDriver::evaluate_cold(std::size_t epoch_index) const {
   TopologyView topo = view_from_plan(*plan_);
   const std::vector<double> nominal = topo.view.capacity_bps;
   for (std::size_t edge = 0; edge < topo.view.capacity_bps.size(); ++edge) {
-    const std::size_t link = topo.view.edge_to_link[edge] / 2;
     topo.view.capacity_bps[edge] *=
-        state[link].up ? state[link].capacity_factor : 0.0;
+        state[topo.view.edge_to_link[edge] / 2].effective_factor();
   }
 
   flow::DemandMatrix demands =

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/builder.hpp"
@@ -58,8 +59,9 @@ struct TimelineOptions {
   /// is 1 + annual_growth * (utc_hour / 8760). 0 = flat.
   double annual_growth = 0.0;
   /// Weather source (optional, must outlive the driver): per-epoch MW
-  /// capacity factors sampled at t = utc_hour * 3600 s. Requires `sites`
-  /// at construction. Mutually exclusive with `factor_schedule`.
+  /// capacity factors sampled at t = utc_hour * 3600 s, replaying the
+  /// field's year for t past its end. Requires `sites` at construction.
+  /// Mutually exclusive with `factor_schedule`.
   const weather::RainField* rain = nullptr;
   control::WeatherCouplingParams coupling;
   /// Scripted per-epoch capacity-factor schedule (one factor per plan
@@ -184,8 +186,11 @@ class TimelineDriver {
  private:
   [[nodiscard]] double epoch_hour(std::size_t epoch_index) const;
   [[nodiscard]] double epoch_growth(double utc_hour) const;
-  [[nodiscard]] std::vector<double> epoch_link_factors(
-      std::size_t epoch_index) const;
+  /// Epoch `epoch_index`'s capacity factor per plan link, into `factors`
+  /// (`rain` is the weather snapshot's storage).
+  void epoch_link_factors(std::size_t epoch_index,
+                          weather::RainSnapshot& rain,
+                          std::vector<double>& factors) const;
   /// The one epoch evaluation behind step() and evaluate_cold():
   /// realizes `routes` (TE splits, or repaired paths as weight-1 sets;
   /// denied pairs are empty entries) over `demands` and builds the
@@ -208,7 +213,8 @@ class TimelineDriver {
 
   const LinkPlan* plan_;
   std::vector<geo::LatLon> sites_;
-  std::vector<control::LinkGeometry> geometry_;
+  /// Hop tables of the MW links, built once when `rain` is set.
+  std::optional<control::LinkWeatherSampler> weather_;
   flow::DemandMatrix base_;
   flow::DemandMatrix current_;
   flow::DirectKmFn direct_km_;
@@ -226,6 +232,10 @@ class TimelineDriver {
   std::vector<TrafficDemand> base_demands_;
 
   std::size_t epoch_ = 0;
+  /// step()'s rain snapshot and per-link capacity factors, reused across
+  /// epochs.
+  weather::RainSnapshot rain_snapshot_;
+  std::vector<double> factors_;
   std::vector<flow::PairOutcome> last_outcomes_;
   /// Per-pair count of epochs meeting the served_frac SLO.
   std::vector<std::uint64_t> available_epochs_;

@@ -56,16 +56,48 @@ void Samples::ensure_sorted() const {
   }
 }
 
-double Samples::percentile(double p) const {
-  CISP_REQUIRE(!values_.empty(), "percentile of empty sample set");
+namespace {
+
+/// The interpolation both percentile paths share: linear between the
+/// order statistics at the floor and ceiling of rank p/100 * (n-1).
+/// `order(k)` returns the k-th smallest of the n values; it is asked for
+/// the lower rank first.
+template <typename Order>
+double interpolate_rank(std::size_t n, double p, Order&& order) {
+  CISP_REQUIRE(n > 0, "percentile of empty sample set");
   CISP_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  ensure_sorted();
-  if (sorted_.size() == 1) return sorted_.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
+  if (n == 1) return order(0);
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  const double lo_value = order(lo);
+  return lo_value * (1.0 - frac) + order(hi) * frac;
+}
+
+}  // namespace
+
+double Samples::percentile(double p) const {
+  if (!values_.empty()) ensure_sorted();
+  return interpolate_rank(values_.size(), p,
+                          [&](std::size_t k) { return sorted_[k]; });
+}
+
+double select_percentile(std::vector<double>& values, double p) {
+  const auto at = [&](std::size_t k) {
+    return values.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  std::size_t selected = values.size();  // none yet
+  return interpolate_rank(values.size(), p, [&](std::size_t k) {
+    if (selected < values.size() && k == selected + 1) {
+      // Everything after the selected slot is >= it, so the next order
+      // statistic is their minimum.
+      return *std::min_element(at(k), values.end());
+    }
+    std::nth_element(values.begin(), at(k), values.end());
+    selected = k;
+    return values[k];
+  });
 }
 
 std::vector<CdfPoint> empirical_cdf(const Samples& samples,

@@ -44,6 +44,11 @@ class Samples {
   double sum_ = 0.0;
 };
 
+/// Samples(values).percentile(p), bit for bit, by selecting the two order
+/// statistics it interpolates between instead of sorting: O(n) on
+/// average. Reorders `values`, which must not be empty.
+[[nodiscard]] double select_percentile(std::vector<double>& values, double p);
+
 /// One point of an empirical CDF.
 struct CdfPoint {
   double value = 0.0;

@@ -14,14 +14,49 @@ geo::LatLon StormCell::center_at(double t_s) const {
   return geo::destination(birth_pos, heading_deg, speed_kmh * hours);
 }
 
+double StormCell::envelope_at(double t_s) const {
+  const double life = (t_s - birth_s) / (death_s - birth_s);
+  return std::sin(life * 3.14159265358979323846);
+}
+
 double StormCell::rain_at(const geo::LatLon& pos, double t_s) const {
   if (!active(t_s)) return 0.0;
   const double d = geo::distance_km(pos, center_at(t_s));
   if (d > 4.0 * sigma_km) return 0.0;
   // Gaussian footprint with a life-cycle envelope (grow, mature, decay).
-  const double life = (t_s - birth_s) / (death_s - birth_s);
-  const double envelope = std::sin(life * 3.14159265358979323846);
-  return peak_mm_h * envelope * std::exp(-(d * d) / (2.0 * sigma_km * sigma_km));
+  // CellSnapshot::rain_at repeats this arithmetic with the t terms hoisted.
+  return peak_mm_h * envelope_at(t_s) *
+         std::exp(-(d * d) / (2.0 * sigma_km * sigma_km));
+}
+
+RainProbe::RainProbe(const geo::LatLon& p)
+    : pos(p), lat_rad(geo::deg_to_rad(p.lat_deg)) {
+  const double lon_rad = geo::deg_to_rad(p.lon_deg);
+  x = std::cos(lat_rad) * std::cos(lon_rad);
+  y = std::cos(lat_rad) * std::sin(lon_rad);
+  z = std::sin(lat_rad);
+}
+
+double CellSnapshot::rain_at(const geo::LatLon& pos) const {
+  const double d = geo::distance_km(pos, center.pos);
+  if (d > cutoff_km) return 0.0;
+  return peak_envelope * std::exp(-(d * d) / two_sigma_sq);
+}
+
+double RainSnapshot::rain_mm_h(const RainProbe& probe) const {
+  double total = 0.0;
+  for (const CellSnapshot& cell : cells) {
+    if (geo::kEarthRadiusKm * std::abs(probe.lat_rad - cell.center.lat_rad) >
+        cell.skip_km) {
+      continue;
+    }
+    const double dx = probe.x - cell.center.x;
+    const double dy = probe.y - cell.center.y;
+    const double dz = probe.z - cell.center.z;
+    if (dx * dx + dy * dy + dz * dz > cell.chord_sq_skip) continue;
+    total += cell.rain_at(probe.pos);
+  }
+  return total;
 }
 
 RainField::RainField(const terrain::BoundingBox& box, const RainParams& params)
@@ -79,11 +114,15 @@ RainField::RainField(const terrain::BoundingBox& box, const RainParams& params)
   }
 }
 
-double RainField::rain_mm_h(const geo::LatLon& pos, double t_s) const {
+const std::vector<std::uint32_t>& RainField::cells_of_day(double t_s) const {
   CISP_REQUIRE(t_s >= 0.0 && t_s <= kYearS, "time outside the year");
   const auto day = static_cast<std::size_t>(t_s / kDayS);
+  return by_day_[std::min(day, by_day_.size() - 1)];
+}
+
+double RainField::rain_mm_h(const geo::LatLon& pos, double t_s) const {
   double total = 0.0;
-  for (const std::uint32_t idx : by_day_[std::min(day, by_day_.size() - 1)]) {
+  for (const std::uint32_t idx : cells_of_day(t_s)) {
     total += cells_[idx].rain_at(pos, t_s);
   }
   return total;
@@ -91,11 +130,29 @@ double RainField::rain_mm_h(const geo::LatLon& pos, double t_s) const {
 
 std::vector<const StormCell*> RainField::active_cells(double t_s) const {
   std::vector<const StormCell*> out;
-  const auto day = static_cast<std::size_t>(t_s / kDayS);
-  for (const std::uint32_t idx : by_day_[std::min(day, by_day_.size() - 1)]) {
+  for (const std::uint32_t idx : cells_of_day(t_s)) {
     if (cells_[idx].active(t_s)) out.push_back(&cells_[idx]);
   }
   return out;
+}
+
+void RainField::snapshot(double t_s, RainSnapshot& out) const {
+  const std::vector<std::uint32_t>& day = cells_of_day(t_s);
+  out.t_s = t_s;
+  out.cells.clear();
+  for (const std::uint32_t idx : day) {
+    const StormCell& cell = cells_[idx];
+    if (!cell.active(t_s)) continue;
+    CellSnapshot& s = out.cells.emplace_back();
+    s.center = RainProbe(cell.center_at(t_s));
+    s.peak_envelope = cell.peak_mm_h * cell.envelope_at(t_s);
+    s.two_sigma_sq = 2.0 * cell.sigma_km * cell.sigma_km;
+    s.cutoff_km = 4.0 * cell.sigma_km;
+    s.skip_km = s.cutoff_km * (1.0 + 1e-9);
+    const double half_chord =
+        std::sin(s.skip_km / (2.0 * geo::kEarthRadiusKm));
+    s.chord_sq_skip = 4.0 * half_chord * half_chord;
+  }
 }
 
 }  // namespace cisp::weather

@@ -48,8 +48,56 @@ struct StormCell {
   }
   /// Cell center at time t (must be active).
   [[nodiscard]] geo::LatLon center_at(double t_s) const;
+  /// Life-cycle envelope at time t (must be active): grows, matures and
+  /// decays as sin(pi * life fraction).
+  [[nodiscard]] double envelope_at(double t_s) const;
   /// Rain contribution at a position and time, mm/h.
   [[nodiscard]] double rain_at(const geo::LatLon& pos, double t_s) const;
+};
+
+/// A position with what the snapshot's distance bounds read of it: its
+/// latitude in radians and its unit vector. Positions sampled every epoch
+/// (hop midpoints) build this once.
+struct RainProbe {
+  geo::LatLon pos;
+  double lat_rad = 0.0;
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+
+  RainProbe() = default;
+  explicit RainProbe(const geo::LatLon& p);
+};
+
+/// One active cell frozen at a time t: everything StormCell::rain_at
+/// derives from t alone, computed once with the same arithmetic.
+struct CellSnapshot {
+  RainProbe center;            ///< center_at(t)
+  double peak_envelope = 0.0;  ///< peak_mm_h * envelope_at(t)
+  double two_sigma_sq = 0.0;   ///< 2 sigma^2
+  double cutoff_km = 0.0;      ///< 4 sigma: no rain beyond it
+  /// cutoff_km padded by 1e-9 relative. A point that a lower bound on its
+  /// haversine distance already puts farther than this is past the cutoff
+  /// however the distance rounds. The bounds: R * |dlat|, and the chord
+  /// between unit vectors (squared, against chord_sq_skip), whose
+  /// rounding error is ~1e-12 relative at the smallest cutoff the field
+  /// generates (32 km).
+  double skip_km = 0.0;
+  double chord_sq_skip = 0.0;  ///< (2 sin(skip_km / 2R))^2
+
+  /// rain_at(pos, t) of the cell, bit for bit.
+  [[nodiscard]] double rain_at(const geo::LatLon& pos) const;
+};
+
+/// The field frozen at one time: the active cells in the field's own
+/// order, so sums over them round exactly like RainField::rain_mm_h.
+struct RainSnapshot {
+  double t_s = 0.0;
+  std::vector<CellSnapshot> cells;
+
+  /// rain_mm_h(pos, t_s) of the field, bit for bit. A cell the distance
+  /// bounds rule out is skipped: it would add +0.0 to a non-negative sum.
+  [[nodiscard]] double rain_mm_h(const RainProbe& probe) const;
 };
 
 /// A full year of weather over a bounding box.
@@ -57,17 +105,34 @@ class RainField {
  public:
   RainField(const terrain::BoundingBox& box, const RainParams& params = {});
 
-  /// Total rain rate (mm/h) at a position and absolute time in [0, year).
+  /// Total rain rate (mm/h) at a position and absolute time in [0, year].
+  /// The per-point query; callers sampling many points at one time take a
+  /// snapshot() instead.
   [[nodiscard]] double rain_mm_h(const geo::LatLon& pos, double t_s) const;
 
   /// Cells active at t (subset view, for tests and visualization).
   [[nodiscard]] std::vector<const StormCell*> active_cells(double t_s) const;
+
+  /// The cells active at t, in active_cells(t) order, with their
+  /// time-dependent terms hoisted (one call per epoch serves every link).
+  [[nodiscard]] RainSnapshot snapshot(double t_s) const {
+    RainSnapshot out;
+    snapshot(t_s, out);
+    return out;
+  }
+  /// snapshot(t_s) into `out`, reusing its storage (epoch loops).
+  void snapshot(double t_s, RainSnapshot& out) const;
 
   [[nodiscard]] std::size_t cell_count() const noexcept {
     return cells_.size();
   }
 
  private:
+  /// Indices of the cells possibly active at t; throws cisp::Error
+  /// unless t is in [0, year] (NaN included).
+  [[nodiscard]] const std::vector<std::uint32_t>& cells_of_day(
+      double t_s) const;
+
   terrain::BoundingBox box_;
   std::vector<StormCell> cells_;
   /// Day index -> indices of cells possibly active that day.

@@ -4,16 +4,21 @@
 // topologies); the detour policy must never admit a route over its
 // stretch bound; the constructed A/B/C fixture pins the PR 5
 // non-monotonicity under pinned routing AND its repair under the control
-// plane; the weather coupling must be deterministic, bounded, MW-only and
-// monotone in path length; and the traffic-model seam must honor denied
-// pairs and capacity derates.
+// plane; the weather coupling must be deterministic, bounded, MW-only,
+// monotone in path length and bit-identical to a test-only copy of the
+// per-hop sampler it replaced; and the traffic-model seam must honor
+// denied pairs and capacity derates.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "geo/geodesic.hpp"
 #include "geo/latlon.hpp"
 #include "net/builder.hpp"
 #include "net/control/route_repair.hpp"
@@ -22,6 +27,8 @@
 #include "net/scenario/failure_model.hpp"
 #include "net/traffic_model.hpp"
 #include "obs/metrics.hpp"
+#include "rf/link_budget.hpp"
+#include "rf/rain.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -421,6 +428,187 @@ TEST(WeatherCoupling, LongerPathsFailAtLeastAsOften) {
   const auto p = control::weather_down_probabilities(
       two, {short_link, long_link}, rain, 200, params);
   EXPECT_GE(p[1], p[0]);
+}
+
+/// The per-hop sampler LinkWeatherSampler replaced, kept verbatim as the
+/// oracle: every call interpolates each hop midpoint and sums every cell
+/// of the day through RainField::rain_mm_h.
+double reference_link_capacity_factor(
+    const control::LinkGeometry& geometry, const weather::RainField& rain,
+    double t_s, const control::WeatherCouplingParams& params) {
+  const std::size_t hops = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(geometry.path_km / params.hop_km)));
+  const double hop_len_km = geometry.path_km / static_cast<double>(hops);
+  const double margin_db = rf::fade_margin_db(hop_len_km, params.budget);
+
+  double factor = 1.0;
+  for (std::size_t h = 0; h < hops; ++h) {
+    const double f =
+        (static_cast<double>(h) + 0.5) / static_cast<double>(hops);
+    const geo::LatLon mid = geo::interpolate(geometry.a, geometry.b, f);
+    const double rain_mm_h = rain.rain_mm_h(mid, t_s);
+    const double attenuation_db = rf::hop_rain_attenuation_db(
+        hop_len_km, rain_mm_h, params.budget.frequency_ghz);
+    double hop_factor = 1.0;
+    if (attenuation_db >= margin_db) {
+      hop_factor = 0.0;
+    } else if (attenuation_db > margin_db - params.adaptive_headroom_db) {
+      hop_factor = (margin_db - attenuation_db) / params.adaptive_headroom_db;
+    }
+    factor = std::min(factor, hop_factor);
+    if (factor == 0.0) break;
+  }
+  return factor;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// MW links over and around test_rain()'s box: random spans of 30-350 km;
+/// clear-sky derate traps at hop_km 200 (one 195 km hop inside the box;
+/// one and two such hops far north of it, where every storm cell is out
+/// of reach); LongerPathsFailAtLeastAsOften's hand-built geometries
+/// whose path_km (10 and 100 km) disagrees with their ~86 km endpoints;
+/// and one fiber link.
+struct OracleLinks {
+  LinkPlan plan;
+  std::vector<control::LinkGeometry> geometry;
+  std::size_t far_trap = 0;  ///< the single-hop 195 km link up north
+};
+
+OracleLinks oracle_links() {
+  OracleLinks out;
+  const auto add = [&](const control::LinkGeometry& g, bool mw) {
+    add_link(out.plan, 0, 1, 10.0, g.path_km, mw);
+    out.geometry.push_back(g);
+  };
+  Rng rng(77);
+  for (int i = 0; i < 6; ++i) {
+    const geo::LatLon a{rng.uniform(35.0, 43.0), rng.uniform(-102.0, -91.0)};
+    const geo::LatLon b = geo::destination(a, rng.uniform(0.0, 360.0),
+                                           rng.uniform(30.0, 350.0));
+    add({a, b, geo::distance_km(a, b)}, true);
+  }
+  const auto add_span = [&](const geo::LatLon& origin, double km) {
+    const geo::LatLon end = geo::destination(origin, 60.0, km);
+    add({origin, end, geo::distance_km(origin, end)}, true);
+  };
+  add_span({39.5, -97.0}, 195.0);
+  out.far_trap = out.geometry.size();
+  add_span({56.0, -97.0}, 195.0);
+  add_span({56.0, -97.0}, 390.0);
+  add({{39.0, -98.0}, {39.0, -97.0}, 10.0}, true);
+  add({{39.0, -98.0}, {39.0, -97.0}, 100.0}, true);
+  add({{38.0, -99.0}, {40.0, -95.0}, 400.0}, false);
+  out.plan.node_count = 2;
+  return out;
+}
+
+TEST(WeatherCoupling, SamplerIsBitIdenticalToThePerHopReferenceOverAYear) {
+  // Every hour of a year, three rain seeds and three hop lengths: each
+  // factor must equal the reference's bit for bit. hop_km = 200 makes the
+  // trap links' margin 40 - 22 log10(19.5) ~ 11.6 dB, under the 12 dB
+  // headroom, so their dry factor is ~0.97, not 1: a link skip that
+  // assumed a dry link runs at full capacity would fail here.
+  const OracleLinks links = oracle_links();
+  terrain::BoundingBox box;
+  box.lat_min = 36.0;
+  box.lat_max = 42.0;
+  box.lon_min = -101.0;
+  box.lon_max = -92.0;
+  std::size_t down = 0;
+  std::size_t derated = 0;
+  std::size_t far_trap_dry = 0;
+  std::size_t mismatches = 0;
+  for (const std::uint64_t seed : {404u, 7u, 2024u}) {
+    weather::RainParams rain_params;
+    rain_params.seed = seed;
+    const weather::RainField rain(box, rain_params);
+    for (const double hop_km : {40.0, 75.0, 200.0}) {
+      control::WeatherCouplingParams params;
+      params.hop_km = hop_km;
+      const control::LinkWeatherSampler sampler(links.plan, links.geometry,
+                                                params);
+      const double trap_clear_sky =
+          rf::fade_margin_db(links.geometry[links.far_trap].path_km,
+                             params.budget) /
+          params.adaptive_headroom_db;
+      std::vector<double> factors;
+      for (int hour = 0; hour <= 24 * 365; ++hour) {
+        const double t_s = std::min(hour * 3600.0, weather::kYearS);
+        sampler.factors(rain.snapshot(t_s), factors);
+        ASSERT_EQ(factors.size(), links.plan.links.size());
+        for (std::size_t i = 0; i < factors.size(); ++i) {
+          const double expected =
+              links.plan.links[i].is_mw
+                  ? reference_link_capacity_factor(links.geometry[i], rain,
+                                                   t_s, params)
+                  : 1.0;
+          if (bits(factors[i]) != bits(expected)) ++mismatches;
+          if (expected == 0.0) ++down;
+          if (expected > 0.0 && expected < 1.0) ++derated;
+        }
+        if (hop_km == 200.0 && factors[links.far_trap] == trap_clear_sky) {
+          ++far_trap_dry;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(down, 0u);
+  EXPECT_GT(derated, 0u);
+  // The trap is live: its margin is under the headroom, and up north it
+  // is dry (and so derated below 1) all year.
+  EXPECT_LT(rf::fade_margin_db(195.0), 12.0);
+  EXPECT_EQ(far_trap_dry, 3u * (24u * 365u + 1u));
+}
+
+TEST(WeatherCoupling, SingleLinkAndDownProbabilitiesMatchTheReference) {
+  const OracleLinks links = oracle_links();
+  const auto rain = test_rain();
+  control::WeatherCouplingParams params;
+  params.hop_km = 200.0;
+  const std::size_t samples = 500;
+  std::vector<double> expected(links.plan.links.size(), 0.0);
+  for (std::size_t e = 0; e < samples; ++e) {
+    const double t_s = (static_cast<double>(e) + 0.5) * weather::kYearS /
+                       static_cast<double>(samples);
+    for (std::size_t i = 0; i < links.plan.links.size(); ++i) {
+      if (!links.plan.links[i].is_mw) continue;
+      const double reference = reference_link_capacity_factor(
+          links.geometry[i], rain, t_s, params);
+      EXPECT_EQ(bits(control::link_capacity_factor(links.geometry[i], rain,
+                                                   t_s, params)),
+                bits(reference));
+      if (reference == 0.0) expected[i] += 1.0;
+    }
+  }
+  for (double& p : expected) p /= static_cast<double>(samples);
+  const auto p = control::weather_down_probabilities(
+      links.plan, links.geometry, rain, samples, params);
+  ASSERT_EQ(p.size(), expected.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(bits(p[i]), bits(expected[i])) << "link " << i;
+  }
+}
+
+TEST(WeatherCoupling, SamplerRejectsBadParamsAndGeometry) {
+  const OracleLinks links = oracle_links();
+  control::WeatherCouplingParams params;
+  params.hop_km = 0.0;
+  EXPECT_THROW(control::LinkWeatherSampler(links.plan, links.geometry, params),
+               cisp::Error);
+  params.hop_km = 75.0;
+  params.adaptive_headroom_db = 0.0;
+  EXPECT_THROW(control::LinkWeatherSampler(links.plan, links.geometry, params),
+               cisp::Error);
+  auto short_geometry = links.geometry;
+  short_geometry.pop_back();
+  EXPECT_THROW(control::LinkWeatherSampler(links.plan, short_geometry),
+               cisp::Error);
+  auto nan_geometry = links.geometry;
+  nan_geometry[0].path_km = std::nan("");
+  EXPECT_THROW(control::LinkWeatherSampler(links.plan, nan_geometry),
+               cisp::Error);
 }
 
 // ---------------------------------------------------------------------------

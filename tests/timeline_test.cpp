@@ -26,6 +26,7 @@
 #include "net/traffic_model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "weather/rainfield.hpp"
 
 namespace cisp::net {
 namespace {
@@ -415,6 +416,53 @@ TEST(Timeline, SloSummaryOrdersPercentilesAndCountsNines) {
   // The schedule downs MW links in 6 of 24 epochs, so some pair must have
   // felt it and the three-nines set cannot be everyone.
   EXPECT_LT(summary.three_nines_fraction, 1.0);
+}
+
+TEST(Timeline, WeatherEpochsPastTheYearReplayItsStart) {
+  // A rain field covers one year; epochs past its end sample it from the
+  // start again. With a flat diurnal profile and no growth, a driver
+  // starting one year in must step exactly like one starting at the same
+  // hour of the first year.
+  const Fixture f = make_fixture(17);
+  std::vector<geo::LatLon> sites;
+  for (const auto& p : f.xy) {
+    sites.push_back({38.0 + p[1] / 111.0, -100.0 + p[0] / 87.0});
+  }
+  terrain::BoundingBox box;
+  box.lat_min = 37.0;
+  box.lat_max = 57.0;
+  box.lon_min = -101.0;
+  box.lon_max = -76.0;
+  weather::RainParams rain_params;
+  rain_params.seed = 8;
+  rain_params.cells_per_day_winter = 400.0;
+  rain_params.cells_per_day_summer = 400.0;
+  const weather::RainField rain(box, rain_params);
+
+  timeline::TimelineOptions options;
+  options.epochs = 30;
+  options.diurnal = make_diurnal(f);
+  options.diurnal.amplitude = 0.0;
+  options.rain = &rain;
+  timeline::TimelineOptions late = options;
+  late.start_utc_hour = 24.0 * 365.0 + 3.0;
+  options.start_utc_hour = 3.0;
+
+  timeline::TimelineDriver first(f.plan, sites, f.base, f.direct_km(),
+                                 options);
+  timeline::TimelineDriver replay(f.plan, sites, f.base, f.direct_km(),
+                                  late);
+  std::size_t churn = 0;
+  for (std::size_t e = 0; e < options.epochs; ++e) {
+    const timeline::EpochStats a = first.step();
+    timeline::EpochStats b = replay.step();
+    EXPECT_EQ(b.utc_hour, a.utc_hour + 24.0 * 365.0);
+    b.utc_hour = a.utc_hour;
+    expect_epochs_equal(a, b);
+    EXPECT_EQ(a.link_deltas, b.link_deltas);
+    churn += a.link_deltas;
+  }
+  EXPECT_GT(churn, 0u);  // the weather moved links
 }
 
 TEST(Timeline, RejectsInvalidOptions) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -153,6 +154,30 @@ TEST(Samples, PercentileRangeChecked) {
   Samples s({1.0});
   EXPECT_THROW(s.percentile(-1), Error);
   EXPECT_THROW(s.percentile(101), Error);
+}
+
+TEST(Samples, SelectPercentileIsBitIdenticalToTheSortedPercentile) {
+  Rng rng(41);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 100u, 1591u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> values;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Heavy ties (a coarse grid, zeros) and spread values.
+        values.push_back(trial % 2 == 0 ? std::floor(rng.uniform(0.0, 5.0))
+                                        : rng.normal(1.5, 0.4));
+      }
+      const Samples sorted(values);
+      for (const double p : {0.0, 1.0, 37.5, 50.0, 99.0, 99.9, 100.0}) {
+        std::vector<double> scratch = values;
+        EXPECT_EQ(select_percentile(scratch, p), sorted.percentile(p))
+            << "n=" << n << " p=" << p;
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW((void)select_percentile(empty, 50.0), Error);
+  std::vector<double> one = {2.0};
+  EXPECT_THROW((void)select_percentile(one, 101.0), Error);
 }
 
 TEST(Cdf, MonotoneAndCovering) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "design/greedy.hpp"
 #include "geo/geodesic.hpp"
@@ -101,6 +102,70 @@ TEST(RainField, RejectsTimeOutsideYear) {
   const RainField field(kUsBox);
   EXPECT_THROW((void)field.rain_mm_h({40, -100}, -1.0), cisp::Error);
   EXPECT_THROW((void)field.rain_mm_h({40, -100}, kYearS + 1.0), cisp::Error);
+}
+
+TEST(RainField, ActiveCellsAndSnapshotRejectTimeOutsideYear) {
+  // active_cells used to cast t / kDayS to an index unchecked: negative or
+  // NaN times were undefined behaviour, late ones read the last day.
+  const RainField field(kUsBox);
+  for (const double t : {-1.0, -3.0 * kDayS, kYearS + 1.0, std::nan("")}) {
+    EXPECT_THROW((void)field.active_cells(t), cisp::Error) << t;
+    EXPECT_THROW((void)field.snapshot(t), cisp::Error) << t;
+    EXPECT_THROW((void)field.rain_mm_h({40, -100}, t), cisp::Error) << t;
+  }
+  EXPECT_NO_THROW((void)field.active_cells(kYearS));
+  EXPECT_NO_THROW((void)field.snapshot(0.0));
+}
+
+TEST(RainField, SnapshotHoldsTheActiveCellsInOrderAndSumsBitIdentically) {
+  const RainField field(kUsBox);
+  Rng rng(11);
+  std::vector<double> times = {0.0, kDayS, 200.0 * kDayS - 1.0, kYearS};
+  for (int i = 0; i < 60; ++i) times.push_back(rng.uniform() * kYearS);
+  std::size_t cells_seen = 0;
+  std::size_t wet = 0;
+  for (const double t : times) {
+    const std::vector<const StormCell*> active = field.active_cells(t);
+    const RainSnapshot snapshot = field.snapshot(t);
+    EXPECT_EQ(snapshot.t_s, t);
+    ASSERT_EQ(snapshot.cells.size(), active.size()) << t;
+    for (std::size_t c = 0; c < active.size(); ++c) {
+      const geo::LatLon center = active[c]->center_at(t);
+      EXPECT_EQ(snapshot.cells[c].center.pos, center);
+      EXPECT_EQ(snapshot.cells[c].cutoff_km, 4.0 * active[c]->sigma_km);
+      EXPECT_GT(snapshot.cells[c].skip_km, snapshot.cells[c].cutoff_km);
+      // The snapshot cell rains exactly like the cell, at its center and
+      // along a ray out past its cutoff.
+      for (const double km : {0.0, 0.5, 1.0, 2.0, 3.999, 4.0, 4.001, 6.0}) {
+        const geo::LatLon p = geo::destination(
+            center, rng.uniform(0.0, 360.0), km * active[c]->sigma_km);
+        EXPECT_EQ(snapshot.cells[c].rain_at(p), active[c]->rain_at(p, t));
+      }
+    }
+    cells_seen += active.size();
+    // Field sums: bit-identical to the per-point query, wet or dry.
+    for (int i = 0; i < 200; ++i) {
+      const geo::LatLon p{rng.uniform(kUsBox.lat_min, kUsBox.lat_max),
+                          rng.uniform(kUsBox.lon_min, kUsBox.lon_max)};
+      const double expected = field.rain_mm_h(p, t);
+      EXPECT_EQ(snapshot.rain_mm_h(RainProbe(p)), expected);
+      if (expected > 0.0) ++wet;
+    }
+    // ...and at each center and on rings just inside and outside its
+    // cutoff, where the skip bounds decide.
+    for (const StormCell* cell : active) {
+      const geo::LatLon center = cell->center_at(t);
+      EXPECT_EQ(snapshot.rain_mm_h(RainProbe(center)),
+                field.rain_mm_h(center, t));
+      for (const double sigmas : {3.99, 3.9999999, 4.0, 4.0000001, 4.01}) {
+        const geo::LatLon p = geo::destination(
+            center, rng.uniform(0.0, 360.0), sigmas * cell->sigma_km);
+        EXPECT_EQ(snapshot.rain_mm_h(RainProbe(p)), field.rain_mm_h(p, t));
+      }
+    }
+  }
+  EXPECT_GT(cells_seen, 100u);
+  EXPECT_GT(wet, 100u);
 }
 
 TEST(Outage, DryHopNeverFails) {

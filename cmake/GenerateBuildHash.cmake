@@ -24,9 +24,8 @@ file(GLOB_RECURSE hash_inputs
      "${SOURCE_DIR}/examples/*.cpp")
 list(SORT hash_inputs)
 
-# Hash path AND content: a rename must change the stamp too (file stems
-# drive experiment registration/shim names), and a deleted file shrinks
-# the list.
+# Hash path AND content: a rename must change the stamp too, and a
+# deleted file shrinks the list.
 set(accumulated "")
 foreach(input IN LISTS hash_inputs)
   file(RELATIVE_PATH rel "${SOURCE_DIR}" "${input}")

@@ -3,8 +3,7 @@
 // Builds a coarse US scenario (synthetic terrain + towers + fiber), designs
 // a hybrid MW/fiber topology for the 20 biggest population centers under a
 // 600-tower budget, and reports what the network achieves. Registered as
-// the `quickstart` experiment — run it via `cisp_experiments run quickstart`
-// or the thin `quickstart` shim binary.
+// the `quickstart` experiment — run it via `cisp_experiments run quickstart`.
 
 #include "bench_common.hpp"
 

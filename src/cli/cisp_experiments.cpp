@@ -6,10 +6,14 @@
 //   cisp_experiments describe <name>
 //   cisp_experiments run <name|glob>... [--threads N] [--seed S] [--fast]
 //                    [--set k=v] [--csv-dir DIR] [--json] [--no-cache]
-//                    [--cache-dir DIR] [--require-rows]
-//   cisp_experiments sweep <name> --axis k=v1,v2,... [run flags]
+//                    [--cache-dir DIR] [--require-rows] [--metrics]
+//                    [--trace FILE]
+//   cisp_experiments sweep <name> --axis k=v1,v2,... [run flags but
+//                    --metrics/--trace]
 //   cisp_experiments diff <run-a> <run-b> [--tolerance T] [--relative R]
 //                    [--cache-dir DIR]
+//   cisp_experiments perf --out FILE [--fast]
+//   cisp_experiments perf --against BASE.json... --current HEAD.json...
 
 #include <iostream>
 

@@ -82,6 +82,48 @@ Params applied_params(const ExperimentSpec& spec, const Params& overrides,
   return applied;
 }
 
+/// The value of the flag at args[i]; advances i past it.
+const std::string& flag_value(const std::vector<std::string>& args,
+                              std::size_t& i) {
+  CISP_REQUIRE(i + 1 < args.size(), "flag " + args[i] + " needs a value");
+  return args[++i];
+}
+
+/// Parses args[i] into `options` when it is a flag that run and sweep
+/// share: --threads, --seed, --fast, --set, --csv-dir, --json,
+/// --no-cache, --cache-dir and --require-rows. Advances i past a consumed
+/// value; returns false for any other argument.
+bool parse_shared_flag(const std::vector<std::string>& args, std::size_t& i,
+                       RunnerOptions& options) {
+  const std::string& arg = args[i];
+  if (arg == "--threads") {
+    options.threads = static_cast<std::size_t>(std::stoul(flag_value(args, i)));
+  } else if (arg == "--seed") {
+    options.seed = std::stoull(flag_value(args, i));
+  } else if (arg == "--fast") {
+    options.fast = true;
+  } else if (arg == "--set") {
+    const std::string& kv = flag_value(args, i);
+    const auto eq = kv.find('=');
+    CISP_REQUIRE(eq != std::string::npos && eq > 0,
+                 "--set expects key=value, got: " + kv);
+    options.overrides.set(kv.substr(0, eq), kv.substr(eq + 1));
+  } else if (arg == "--csv-dir") {
+    options.csv_dir = flag_value(args, i);
+  } else if (arg == "--json") {
+    options.json = true;
+  } else if (arg == "--no-cache") {
+    options.use_cache = false;
+  } else if (arg == "--cache-dir") {
+    options.cache_dir = flag_value(args, i);
+  } else if (arg == "--require-rows") {
+    options.require_rows = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 void usage(std::ostream& err) {
   err << "usage: cisp_experiments <command> [args]\n"
          "\n"
@@ -98,9 +140,9 @@ void usage(std::ostream& err) {
          "                          cell-by-cell (args: paths to .result\n"
          "                          files, or unique name prefixes resolved\n"
          "                          in --cache-dir)\n"
-         "  perf                    run the hot-path benchmark suite and\n"
-         "                          write a schema-versioned BENCH json;\n"
-         "                          optionally gate against a baseline\n"
+         "  perf                    run the hot-path benchmark suite once\n"
+         "                          (--out), or gate head samples against\n"
+         "                          base samples (--against/--current)\n"
          "\n"
          "diff flags:\n"
          "  --tolerance T   absolute tolerance for real cells (default 0)\n"
@@ -124,81 +166,21 @@ void usage(std::ostream& err) {
          "  --trace FILE    write a Chrome trace-event JSON of the run\n"
          "                  (load in Perfetto / chrome://tracing)\n"
          "\n"
-         "sweep flags (plus run flags above):\n"
+         "sweep flags (plus the run flags above but --metrics/--trace):\n"
          "  --axis k=v1,v2,...  the swept parameter and its values\n"
          "                      (exactly one --axis; values comma-split)\n"
          "\n"
-         "perf flags:\n"
-         "  --out FILE      where to write the fresh BENCH json\n"
-         "                  (default BENCH_PR9.json)\n"
-         "  --against FILE  baseline BENCH json to compare against;\n"
-         "                  exit 1 when any kernel regresses > threshold\n"
-         "  --current FILE  compare FILE instead of running the suite\n"
-         "  --threshold T   relative regression gate (default 0.10)\n"
-         "  --warn-only     report regressions but exit 0 (CI soft gate)\n"
-         "  --hard-for GLOB regressions on kernels matching GLOB fail\n"
-         "                  even under --warn-only (repeatable)\n"
-         "  --soft-for GLOB regressions on kernels matching GLOB do not\n"
-         "                  fail the hard gate (repeatable; --hard-for\n"
-         "                  wins when both match — use for noisy\n"
-         "                  wall-clock entries like 'exp.*')\n"
-         "  --fast / --threads N / --seed S   as for run\n";
-}
-
-/// The wall-clock experiment entries of the perf suite, beyond the
-/// micro_perf kernels: one full traffic_scale sweep to 10^5 users through
-/// the flow backend. Entries run uncached (the point is to measure).
-struct PerfExperiment {
-  const char* entry_name;
-  const char* experiment;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
-const std::vector<PerfExperiment>& perf_experiments() {
-  static const std::vector<PerfExperiment> kSuite = {
-      {"exp.traffic_scale_1e5",
-       "traffic_scale",
-       {{"users", "100000"}, {"traffic_backend", "flow"}}},
-      {"exp.alpha_fair_saturation",
-       "backend_fairness",
-       {}},
-      {"exp.control_availability",
-       "control_availability",
-       {}},
-      {"exp.timeline_week",
-       "timeline",
-       {}},
-      {"exp.te_pareto",
-       "te_pareto",
-       {}},
-  };
-  return kSuite;
-}
-
-/// Minimal glob match supporting `*` (any run) and `?` (any char) — enough
-/// for kernel-name selectors like `max_min*` or `*solver*`.
-bool glob_match(const std::string& pattern, const std::string& text) {
-  std::size_t p = 0;
-  std::size_t t = 0;
-  std::size_t star = std::string::npos;
-  std::size_t star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      star_t = t;
-    } else if (star != std::string::npos) {
-      p = star + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
+         "perf flags (run mode):\n"
+         "  --out FILE      write the suite's BENCH json to FILE (required)\n"
+         "  --fast          the reduced-size suite [env CISP_FAST]\n"
+         "\n"
+         "perf flags (compare mode; each repeatable, >= 5 samples a side):\n"
+         "  --against FILE  a base sample\n"
+         "  --current FILE  a head sample\n"
+         "                  exit 1 when a kernel's head median is > 10%\n"
+         "                  above base's AND the gap exceeds the wider\n"
+         "                  side's interquartile distance ('unresolved'\n"
+         "                  otherwise)\n";
 }
 
 std::string read_text_file(const std::string& path) {
@@ -209,148 +191,94 @@ std::string read_text_file(const std::string& path) {
   return buffer.str();
 }
 
+/// `perf` has two modes. Run: time the micro_perf suite once and write
+/// one BENCH json sample. Compare: gate head samples against base samples
+/// (obs::compare_bench); both sides are built from source and run
+/// interleaved on one host, so every sample shares the host's noise.
 int cmd_perf(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   RunnerOptions options = RunnerOptions::from_env();
   options.use_cache = false;  // measuring: a cache hit would time nothing
-  std::string out_path = "BENCH_PR9.json";
-  std::string against_path;
-  std::string current_path;
-  double threshold = 0.10;
-  bool warn_only = false;
-  std::vector<std::string> hard_globs;
-  std::vector<std::string> soft_globs;
+  std::string out_path;
+  std::vector<std::string> against_paths;
+  std::vector<std::string> current_paths;
+  bool run_flags = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      CISP_REQUIRE(i + 1 < args.size(), "flag " + arg + " needs a value");
-      return args[++i];
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--against") {
-      against_path = next();
-    } else if (arg == "--current") {
-      current_path = next();
-    } else if (arg == "--threshold") {
-      threshold = std::stod(next());
-    } else if (arg == "--warn-only") {
-      warn_only = true;
-    } else if (arg == "--hard-for") {
-      hard_globs.push_back(next());
-    } else if (arg == "--soft-for") {
-      soft_globs.push_back(next());
-    } else if (arg == "--fast") {
+    if (arg == "--fast") {
       options.fast = true;
-    } else if (arg == "--threads") {
-      options.threads = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--seed") {
-      options.seed = std::stoull(next());
+      run_flags = true;
+    } else if (arg == "--out") {
+      out_path = flag_value(args, i);
+      run_flags = true;
+    } else if (arg == "--against") {
+      against_paths.push_back(flag_value(args, i));
+    } else if (arg == "--current") {
+      current_paths.push_back(flag_value(args, i));
     } else {
       err << "unknown perf flag: " << arg << '\n';
       return 1;
     }
   }
-
-  obs::BenchReport current;
-  if (!current_path.empty()) {
-    // Compare-only mode: gate a previously written report (no timing run).
-    current = obs::parse_bench_json(read_text_file(current_path));
-  } else {
-    current.build = std::string(build_stamp());
-    current.fast = options.fast;
-    current.threads = options.threads;
-
-    out << "[perf] hot-path suite (" << (options.fast ? "fast" : "full")
-        << " mode)\n";
-    const RunReport kernels = run_experiment("micro_perf", options, out);
-    const ResultTable& table = kernels.results.table("kernels");
-    for (std::size_t r = 0; r < table.row_count(); ++r) {
-      obs::BenchEntry entry;
-      entry.name = table.at(r, 0).as_text();
-      entry.reps = static_cast<std::uint64_t>(table.at(r, 1).as_int());
-      entry.ns_per_op = table.at(r, 2).as_real();
-      current.entries.push_back(std::move(entry));
-      out << "[perf] " << current.entries.back().name << ": "
-          << current.entries.back().ns_per_op << " ns/op\n";
-    }
-    for (const PerfExperiment& exp : perf_experiments()) {
-      RunnerOptions exp_options = options;
-      for (const auto& [k, v] : exp.params) exp_options.overrides.set(k, v);
-      std::ostringstream sink;  // experiment output is not perf output
-      const auto started = std::chrono::steady_clock::now();
-      const RunReport report = run_experiment(exp.experiment, exp_options,
-                                              sink);
-      const std::chrono::duration<double, std::nano> wall =
-          std::chrono::steady_clock::now() - started;
-      CISP_REQUIRE(!report.results.empty(),
-                   std::string("perf experiment produced no rows: ") +
-                       exp.experiment);
-      current.entries.push_back({exp.entry_name, wall.count(), 1});
-      out << "[perf] " << exp.entry_name << ": " << wall.count() / 1e6
-          << " ms (wall)\n";
-    }
-
-    std::ofstream file(out_path);
-    CISP_REQUIRE(static_cast<bool>(file), "cannot write " + out_path);
-    obs::write_bench_json(file, current);
-    out << "[perf] wrote " << out_path << " (" << current.entries.size()
-        << " entries, build " << current.build << ")\n";
+  const bool compare = !against_paths.empty() || !current_paths.empty();
+  if (compare && run_flags) {
+    err << "perf: --against/--current compare saved samples; they do not "
+           "mix with --out/--fast\n";
+    return 1;
   }
 
-  if (against_path.empty()) return 0;
+  if (compare) {
+    const auto load = [](const std::vector<std::string>& paths) {
+      std::vector<obs::BenchReport> samples;
+      for (const std::string& path : paths) {
+        samples.push_back(obs::parse_bench_json(read_text_file(path)));
+      }
+      return samples;
+    };
+    const auto rows = obs::compare_bench(load(against_paths),
+                                         load(current_paths));
+    const std::size_t regressions = obs::render_bench_comparison(out, rows);
+    const auto count = [&rows](obs::BenchStatus status) {
+      return std::count_if(rows.begin(), rows.end(),
+                           [status](const obs::BenchComparison& row) {
+                             return row.status == status;
+                           });
+    };
+    out << "[perf] " << against_paths.size() << " base vs "
+        << current_paths.size() << " head samples: " << regressions
+        << " regression(s); " << count(obs::BenchStatus::kRemoved)
+        << " removed, " << count(obs::BenchStatus::kAdded)
+        << " added kernel(s) (not gated)\n";
+    return regressions == 0 ? 0 : 1;
+  }
 
-  const obs::BenchReport baseline =
-      obs::parse_bench_json(read_text_file(against_path));
-  if (baseline.fast != current.fast) {
-    out << "[perf] WARNING: baseline fast=" << baseline.fast
-        << " but current fast=" << current.fast
-        << " — timings are not like-for-like\n";
+  if (out_path.empty()) {
+    err << "perf needs --out FILE (run the suite) or --against/--current "
+           "samples (compare)\n";
+    return 1;
   }
-  const auto rows = obs::compare_bench(baseline, current, threshold);
-  const std::size_t regressions = obs::render_bench_comparison(out, rows);
-  if (regressions == 0) {
-    out << "[perf] no regressions beyond " << threshold * 100.0
-        << "% against " << against_path << '\n';
-    return 0;
+  obs::BenchReport report;
+  report.build = std::string(build_stamp());
+  report.fast = options.fast;
+  report.threads = options.threads;
+  out << "[perf] hot-path suite (" << (options.fast ? "fast" : "full")
+      << " mode)\n";
+  const RunReport kernels = run_experiment("micro_perf", options, out);
+  const ResultTable& table = kernels.results.table("kernels");
+  for (std::size_t r = 0; r < table.row_count(); ++r) {
+    obs::BenchEntry entry;
+    entry.name = table.at(r, 0).as_text();
+    entry.reps = static_cast<std::uint64_t>(table.at(r, 1).as_int());
+    entry.ns_per_op = table.at(r, 2).as_real();
+    out << "[perf] " << entry.name << ": " << entry.ns_per_op << " ns/op\n";
+    report.entries.push_back(std::move(entry));
   }
-  // Gating rows are regressions and missing kernels. --hard-for promotes
-  // matching kernels to a hard failure even under --warn-only; --soft-for
-  // tolerates matching rows under the hard gate (noisy wall-clock entries
-  // like exp.*). When both match, --hard-for wins.
-  const auto matches_any = [](const std::vector<std::string>& globs,
-                              const std::string& name) {
-    for (const std::string& glob : globs) {
-      if (glob_match(glob, name)) return true;
-    }
-    return false;
-  };
-  std::size_t hard_failures = 0;
-  std::size_t soft_tolerated = 0;
-  for (const auto& row : rows) {
-    if (row.status != obs::BenchStatus::kRegress &&
-        row.status != obs::BenchStatus::kMissing) {
-      continue;
-    }
-    if (matches_any(hard_globs, row.name)) {
-      err << "[perf] HARD regression: " << row.name << '\n';
-      ++hard_failures;
-    } else if (matches_any(soft_globs, row.name)) {
-      out << "[perf] soft regression (tolerated): " << row.name << '\n';
-      ++soft_tolerated;
-    }
-  }
-  err << "[perf] " << regressions << " kernel(s) regressed beyond "
-      << threshold * 100.0 << "% (baseline " << against_path << ")"
-      << (hard_failures > 0            ? ""
-          : warn_only                  ? " — warn-only, not failing"
-          : soft_tolerated == regressions
-              ? " — soft-tolerated, not failing"
-              : "")
-      << '\n';
-  if (hard_failures > 0) return 1;
-  if (warn_only) return 0;
-  return soft_tolerated == regressions ? 0 : 1;
+  std::ofstream file(out_path);
+  CISP_REQUIRE(static_cast<bool>(file), "cannot write " + out_path);
+  obs::write_bench_json(file, report);
+  out << "[perf] wrote " << out_path << " (" << report.entries.size()
+      << " entries, build " << report.build << ")\n";
+  return 0;
 }
 
 void describe_experiment(const ExperimentSpec& spec, std::ostream& out) {
@@ -411,36 +339,11 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   std::vector<std::string> patterns;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      CISP_REQUIRE(i + 1 < args.size(), "flag " + arg + " needs a value");
-      return args[++i];
-    };
-    if (arg == "--threads") {
-      options.threads = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--seed") {
-      options.seed = std::stoull(next());
-    } else if (arg == "--fast") {
-      options.fast = true;
-    } else if (arg == "--set") {
-      const std::string& kv = next();
-      const auto eq = kv.find('=');
-      CISP_REQUIRE(eq != std::string::npos && eq > 0,
-                   "--set expects key=value, got: " + kv);
-      options.overrides.set(kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (arg == "--csv-dir") {
-      options.csv_dir = next();
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (arg == "--no-cache") {
-      options.use_cache = false;
-    } else if (arg == "--cache-dir") {
-      options.cache_dir = next();
-    } else if (arg == "--require-rows") {
-      options.require_rows = true;
-    } else if (arg == "--metrics") {
+    if (parse_shared_flag(args, i, options)) continue;
+    if (arg == "--metrics") {
       options.metrics = true;
     } else if (arg == "--trace") {
-      trace_path = next();
+      trace_path = flag_value(args, i);
     } else if (!arg.empty() && arg[0] == '-') {
       err << "unknown run flag: " << arg << '\n';
       return 1;
@@ -537,13 +440,10 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
   std::string name;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      CISP_REQUIRE(i + 1 < args.size(), "flag " + arg + " needs a value");
-      return args[++i];
-    };
+    if (parse_shared_flag(args, i, options)) continue;
     if (arg == "--axis") {
       CISP_REQUIRE(axis_key.empty(), "sweep takes exactly one --axis");
-      const std::string& kv = next();
+      const std::string& kv = flag_value(args, i);
       const auto eq = kv.find('=');
       CISP_REQUIRE(eq != std::string::npos && eq > 0,
                    "--axis expects key=v1,v2,..., got: " + kv);
@@ -562,28 +462,6 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-    } else if (arg == "--threads") {
-      options.threads = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--seed") {
-      options.seed = std::stoull(next());
-    } else if (arg == "--fast") {
-      options.fast = true;
-    } else if (arg == "--set") {
-      const std::string& kv = next();
-      const auto eq = kv.find('=');
-      CISP_REQUIRE(eq != std::string::npos && eq > 0,
-                   "--set expects key=value, got: " + kv);
-      options.overrides.set(kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (arg == "--csv-dir") {
-      options.csv_dir = next();
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (arg == "--no-cache") {
-      options.use_cache = false;
-    } else if (arg == "--cache-dir") {
-      options.cache_dir = next();
-    } else if (arg == "--require-rows") {
-      options.require_rows = true;
     } else if (!arg.empty() && arg[0] == '-') {
       err << "unknown sweep flag: " << arg << '\n';
       return 1;
@@ -700,16 +578,12 @@ int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
   std::vector<std::string> runs;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      CISP_REQUIRE(i + 1 < args.size(), "flag " + arg + " needs a value");
-      return args[++i];
-    };
     if (arg == "--tolerance") {
-      options.abs_tolerance = std::stod(next());
+      options.abs_tolerance = std::stod(flag_value(args, i));
     } else if (arg == "--relative") {
-      options.rel_tolerance = std::stod(next());
+      options.rel_tolerance = std::stod(flag_value(args, i));
     } else if (arg == "--cache-dir") {
-      cache_dir = next();
+      cache_dir = flag_value(args, i);
     } else if (!arg.empty() && arg[0] == '-') {
       err << "unknown diff flag: " << arg << '\n';
       return 1;

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace cisp::obs {
 
@@ -178,10 +179,54 @@ const char* status_label(BenchStatus status) {
     case BenchStatus::kOk: return "ok";
     case BenchStatus::kImprove: return "improve";
     case BenchStatus::kRegress: return "REGRESS";
-    case BenchStatus::kMissing: return "MISSING";
+    case BenchStatus::kUnresolved: return "unresolved";
     case BenchStatus::kAdded: return "added";
+    case BenchStatus::kRemoved: return "removed";
   }
   return "?";
+}
+
+/// One side of a comparison: every kernel's ns/op across the side's
+/// samples, in the first sample's kernel order. Throws when the side is
+/// too small or its samples disagree on the kernel set.
+struct Side {
+  std::vector<std::string> order;
+  std::map<std::string, std::vector<double>> ns;
+};
+
+Side collect_side(const std::vector<BenchReport>& samples, const char* label) {
+  CISP_REQUIRE(samples.size() >= kMinBenchSamples,
+               std::string("perf compare: ") + label + " has " +
+                   std::to_string(samples.size()) + " sample(s), needs " +
+                   std::to_string(kMinBenchSamples));
+  Side side;
+  for (const BenchEntry& entry : samples.front().entries) {
+    CISP_REQUIRE(side.ns.emplace(entry.name, std::vector<double>{}).second,
+                 std::string("perf compare: ") + label +
+                     " lists kernel '" + entry.name + "' twice");
+    side.order.push_back(entry.name);
+  }
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const auto& entries = samples[s].entries;
+    CISP_REQUIRE(entries.size() == side.order.size(),
+                 std::string("perf compare: ") + label + " sample " +
+                     std::to_string(s + 1) + " lists " +
+                     std::to_string(entries.size()) + " kernels, sample 1 " +
+                     std::to_string(side.order.size()));
+    for (const BenchEntry& entry : entries) {
+      const auto it = side.ns.find(entry.name);
+      CISP_REQUIRE(it != side.ns.end() && it->second.size() == s,
+                   std::string("perf compare: ") + label + " sample " +
+                       std::to_string(s + 1) + " has a different kernel set (" +
+                       entry.name + ")");
+      it->second.push_back(entry.ns_per_op);
+    }
+  }
+  return side;
+}
+
+double iqr(const Samples& ns) {
+  return ns.percentile(75.0) - ns.percentile(25.0);
 }
 
 }  // namespace
@@ -243,45 +288,53 @@ BenchReport parse_bench_json(const std::string& text) {
   return report;
 }
 
-std::vector<BenchComparison> compare_bench(const BenchReport& baseline,
-                                           const BenchReport& current,
-                                           double threshold) {
-  CISP_REQUIRE(threshold > 0.0, "bench threshold must be positive");
-  std::map<std::string, const BenchEntry*> current_by_name;
-  for (const BenchEntry& entry : current.entries) {
-    current_by_name[entry.name] = &entry;
+std::vector<BenchComparison> compare_bench(
+    const std::vector<BenchReport>& base,
+    const std::vector<BenchReport>& head) {
+  const Side base_side = collect_side(base, "base");
+  const Side head_side = collect_side(head, "head");
+  const bool fast = base.front().fast;
+  for (const auto* side : {&base, &head}) {
+    for (const BenchReport& sample : *side) {
+      CISP_REQUIRE(sample.fast == fast,
+                   "perf compare: samples mix fast and full runs");
+    }
   }
+
   std::vector<BenchComparison> rows;
-  for (const BenchEntry& base : baseline.entries) {
+  for (const std::string& name : base_side.order) {
+    const Samples base_ns(base_side.ns.at(name));
     BenchComparison row;
-    row.name = base.name;
-    row.baseline_ns = base.ns_per_op;
-    const auto it = current_by_name.find(base.name);
-    if (it == current_by_name.end()) {
-      row.status = BenchStatus::kMissing;
+    row.name = name;
+    row.base_median_ns = base_ns.median();
+    row.base_iqr_ns = iqr(base_ns);
+    const auto it = head_side.ns.find(name);
+    if (it == head_side.ns.end()) {
+      row.status = BenchStatus::kRemoved;
       rows.push_back(std::move(row));
       continue;
     }
-    row.current_ns = it->second->ns_per_op;
-    current_by_name.erase(it);
-    if (base.ns_per_op > 0.0) {
-      row.delta = (row.current_ns - row.baseline_ns) / row.baseline_ns;
-    }
-    if (row.delta > threshold) {
-      row.status = BenchStatus::kRegress;
-    } else if (row.delta < -threshold) {
-      row.status = BenchStatus::kImprove;
-    } else {
+    const Samples head_ns(it->second);
+    row.head_median_ns = head_ns.median();
+    row.head_iqr_ns = iqr(head_ns);
+    const double gap = row.head_median_ns - row.base_median_ns;
+    if (row.base_median_ns > 0.0) row.delta = gap / row.base_median_ns;
+    if (std::abs(row.delta) <= kBenchThreshold) {
       row.status = BenchStatus::kOk;
+    } else if (std::abs(gap) <= std::max(row.base_iqr_ns, row.head_iqr_ns)) {
+      row.status = BenchStatus::kUnresolved;
+    } else {
+      row.status = gap > 0.0 ? BenchStatus::kRegress : BenchStatus::kImprove;
     }
     rows.push_back(std::move(row));
   }
-  // Kernels with no baseline point, in current-report order.
-  for (const BenchEntry& entry : current.entries) {
-    if (current_by_name.count(entry.name) == 0) continue;
+  for (const std::string& name : head_side.order) {
+    if (base_side.ns.count(name) != 0) continue;
     BenchComparison row;
-    row.name = entry.name;
-    row.current_ns = entry.ns_per_op;
+    row.name = name;
+    const Samples head_ns(head_side.ns.at(name));
+    row.head_median_ns = head_ns.median();
+    row.head_iqr_ns = iqr(head_ns);
     row.status = BenchStatus::kAdded;
     rows.push_back(std::move(row));
   }
@@ -295,29 +348,33 @@ std::size_t render_bench_comparison(
     name_width = std::max(name_width, row.name.size());
   }
   os << std::left << std::setw(static_cast<int>(name_width + 2)) << "kernel"
-     << std::right << std::setw(14) << "baseline ns" << std::setw(14)
-     << "current ns" << std::setw(10) << "delta"
+     << std::right << std::setw(14) << "base med ns" << std::setw(10)
+     << "base IQR" << std::setw(14) << "head med ns" << std::setw(10)
+     << "head IQR" << std::setw(10) << "delta"
      << "  status\n";
   std::size_t regressions = 0;
+  const auto percent_of = [](double part, double whole) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.1f%%",
+                  whole > 0.0 ? part / whole * 100.0 : 0.0);
+    return std::string(text);
+  };
   for (const BenchComparison& row : rows) {
-    os << std::left << std::setw(static_cast<int>(name_width + 2))
-       << row.name << std::right;
-    char base[32], cur[32], delta[32];
-    std::snprintf(base, sizeof(base), "%.1f", row.baseline_ns);
-    std::snprintf(cur, sizeof(cur), "%.1f", row.current_ns);
+    const bool has_base = row.status != BenchStatus::kAdded;
+    const bool has_head = row.status != BenchStatus::kRemoved;
+    char base[32], head[32], delta[32];
+    std::snprintf(base, sizeof(base), "%.1f", row.base_median_ns);
+    std::snprintf(head, sizeof(head), "%.1f", row.head_median_ns);
     std::snprintf(delta, sizeof(delta), "%+.1f%%", row.delta * 100.0);
-    os << std::setw(14)
-       << (row.status == BenchStatus::kAdded ? "-" : base) << std::setw(14)
-       << (row.status == BenchStatus::kMissing ? "-" : cur) << std::setw(10)
-       << (row.status == BenchStatus::kMissing ||
-                   row.status == BenchStatus::kAdded
-               ? "-"
-               : delta)
-       << "  " << status_label(row.status) << '\n';
-    if (row.status == BenchStatus::kRegress ||
-        row.status == BenchStatus::kMissing) {
-      ++regressions;
-    }
+    os << std::left << std::setw(static_cast<int>(name_width + 2))
+       << row.name << std::right << std::setw(14) << (has_base ? base : "-")
+       << std::setw(10)
+       << (has_base ? percent_of(row.base_iqr_ns, row.base_median_ns) : "-")
+       << std::setw(14) << (has_head ? head : "-") << std::setw(10)
+       << (has_head ? percent_of(row.head_iqr_ns, row.head_median_ns) : "-")
+       << std::setw(10) << (has_base && has_head ? delta : "-") << "  "
+       << status_label(row.status) << '\n';
+    if (row.status == BenchStatus::kRegress) ++regressions;
   }
   return regressions;
 }

@@ -1,12 +1,15 @@
 #pragma once
-// Perf trajectory: schema-versioned benchmark reports (BENCH_PR<k>.json)
-// plus the comparator behind `cisp_experiments perf --against`. A report is
-// a flat list of kernel timings; the comparator matches kernels by name and
-// flags any hot-path slowdown beyond a relative threshold (default 10%).
-// CI runs it warn-only against the committed baseline at the repo root and
-// uploads the fresh report as an artifact, so the trajectory accumulates
-// one point per PR.
+// Perf gate: schema-versioned benchmark reports plus the comparator behind
+// `cisp_experiments perf --against ... --current ...`. A report is one run
+// of the hot-path suite: a flat list of kernel timings. The comparator
+// takes at least kMinBenchSamples reports per side, built from source and
+// run interleaved on one host, and matches kernels by name. A kernel
+// regresses only when head's median is more than kBenchThreshold above
+// base's median AND the gap exceeds the wider of the two sides'
+// interquartile distances; a move past the threshold that stays inside
+// that spread is reported as unresolved and does not gate.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -17,8 +20,15 @@ namespace cisp::obs {
 /// Schema identifier written into every report.
 inline constexpr const char* kBenchSchema = "cisp-bench-v1";
 
-/// One timed kernel: `ns_per_op` is the headline number the comparator
-/// gates on; `reps` records how many iterations the harness averaged over.
+/// Reports each side of a comparison needs: fewer cannot separate a
+/// median move from the host's run-to-run spread.
+inline constexpr std::size_t kMinBenchSamples = 5;
+
+/// Relative median move a kernel must exceed to regress (or improve).
+inline constexpr double kBenchThreshold = 0.10;
+
+/// One timed kernel: `ns_per_op` is the number the comparator gates on;
+/// `reps` records how many iterations the harness averaged over.
 struct BenchEntry {
   std::string name;
   double ns_per_op = 0.0;
@@ -27,8 +37,9 @@ struct BenchEntry {
 
 /// A full benchmark run. `build` is the deterministic source hash
 /// (CISP_BUILD_HASH) so a report is traceable to the code that produced
-/// it; `fast` records whether the reduced-size suite ran (reports are only
-/// comparable like-for-like). `threads` is the executor width used.
+/// it; `fast` records whether the reduced-size suite ran (samples are only
+/// comparable when it matches). `threads` is the runner's executor width,
+/// kept for the schema: every timed kernel is serial.
 struct BenchReport {
   std::string schema = kBenchSchema;
   std::string build;
@@ -41,36 +52,46 @@ struct BenchReport {
 void write_bench_json(std::ostream& os, const BenchReport& report);
 
 /// Parses a report previously written by write_bench_json. Throws
-/// util::Error on malformed input or schema mismatch.
+/// cisp::Error on malformed input or schema mismatch.
 [[nodiscard]] BenchReport parse_bench_json(const std::string& text);
 
 /// Comparator verdict for one kernel.
 enum class BenchStatus {
-  kOk,       ///< within threshold either way
-  kImprove,  ///< faster than baseline by more than the threshold
-  kRegress,  ///< slower than baseline by more than the threshold
-  kMissing,  ///< in baseline but absent from the current run
-  kAdded,    ///< new kernel with no baseline point
+  kOk,          ///< medians within the threshold either way
+  kImprove,     ///< faster by more than the threshold and the spread
+  kRegress,     ///< slower by more than the threshold and the spread
+  kUnresolved,  ///< moved past the threshold, but within the spread
+  kAdded,       ///< only head runs the kernel
+  kRemoved,     ///< only base runs the kernel
 };
 
-/// One row of a comparison: `delta` is (current - baseline) / baseline,
-/// meaningless for kMissing/kAdded.
+/// One row of a comparison. Medians and interquartile distances are over
+/// each side's samples; `delta` is (head - base) / base median,
+/// meaningless for kAdded/kRemoved. The spread a move must clear is
+/// max(base_iqr_ns, head_iqr_ns): a noisy side on either end of the pair
+/// widens it, since five samples can all land in one of a host's modes
+/// and make one side look tighter than the host is.
 struct BenchComparison {
   std::string name;
-  double baseline_ns = 0.0;
-  double current_ns = 0.0;
+  double base_median_ns = 0.0;
+  double base_iqr_ns = 0.0;
+  double head_median_ns = 0.0;
+  double head_iqr_ns = 0.0;
   double delta = 0.0;
   BenchStatus status = BenchStatus::kOk;
 };
 
-/// Compares current against baseline kernel by kernel. Rows come back in
-/// baseline order, then any added kernels in current order.
+/// Compares head's samples against base's kernel by kernel. Rows come
+/// back in base order, then kernels only head runs in head order. Throws
+/// cisp::Error when a side has fewer than kMinBenchSamples reports, when
+/// one side's reports list different kernels, or when `fast` differs
+/// between any two reports.
 [[nodiscard]] std::vector<BenchComparison> compare_bench(
-    const BenchReport& baseline, const BenchReport& current,
-    double threshold = 0.10);
+    const std::vector<BenchReport>& base,
+    const std::vector<BenchReport>& head);
 
 /// Renders a comparison table for terminal output and returns the number
-/// of regressions (the comparator's exit-code driver).
+/// of regressions (the gate's exit-code driver).
 std::size_t render_bench_comparison(
     std::ostream& os, const std::vector<BenchComparison>& rows);
 

@@ -1,8 +1,8 @@
-// Tests for the perf trajectory gate (src/obs/bench.hpp): BENCH json
-// round-trips, comparator classification against synthetic baselines
-// (regressed / improved / unchanged / missing / added kernels), and the
-// `cisp_experiments perf` compare-only CLI including the --warn-only soft
-// gate that CI uses.
+// Tests for the same-host perf gate (src/obs/bench.hpp): BENCH json
+// round-trips, the median-vs-spread comparator over 5 + 5 synthetic
+// samples (ok / improve / REGRESS / unresolved / added / removed), its
+// refusals (too few samples, inconsistent kernel sets, fast/full
+// mismatches), and the two modes of the `cisp_experiments perf` CLI.
 
 #include <gtest/gtest.h>
 
@@ -76,64 +76,175 @@ TEST(BenchJson, IgnoresUnknownKeysForForwardCompat) {
 // Comparator
 // ---------------------------------------------------------------------------
 
-TEST(BenchCompare, ClassifiesEveryStatus) {
-  const BenchReport baseline = make_report({{"regressed", 100.0, 1},
-                                            {"improved", 100.0, 1},
-                                            {"unchanged", 100.0, 1},
-                                            {"vanished", 100.0, 1}});
-  const BenchReport current = make_report({{"regressed", 125.0, 1},
-                                           {"improved", 50.0, 1},
-                                           {"unchanged", 103.0, 1},
-                                           {"brand_new", 7.0, 1}});
-  const auto rows = compare_bench(baseline, current, 0.10);
-  ASSERT_EQ(rows.size(), 5u);
+/// One kernel's ns/op in each of a side's samples.
+struct KernelSeries {
+  std::string name;
+  std::vector<double> ns;
+};
 
-  const auto find = [&](const std::string& name) {
-    for (const auto& row : rows) {
-      if (row.name == name) return row;
-    }
-    ADD_FAILURE() << "no comparison row for " << name;
-    return rows.front();
-  };
-  EXPECT_EQ(find("regressed").status, BenchStatus::kRegress);
-  EXPECT_EQ(find("improved").status, BenchStatus::kImprove);
-  EXPECT_EQ(find("unchanged").status, BenchStatus::kOk);
-  EXPECT_EQ(find("vanished").status, BenchStatus::kMissing);
-  EXPECT_EQ(find("brand_new").status, BenchStatus::kAdded);
-  EXPECT_NEAR(find("regressed").delta, 0.25, 1e-9);
-
-  // A missing kernel counts as a regression (a deleted benchmark must not
-  // silently pass the gate); an added one does not.
-  std::ostringstream os;
-  EXPECT_EQ(render_bench_comparison(os, rows), 2u);
-  EXPECT_NE(os.str().find("REGRESS"), std::string::npos);
-  EXPECT_NE(os.str().find("MISSING"), std::string::npos);
+/// A side of a comparison: sample s lists every kernel at ns[s].
+std::vector<BenchReport> make_side(const std::vector<KernelSeries>& kernels) {
+  std::vector<BenchReport> side(kernels.front().ns.size());
+  for (std::size_t s = 0; s < side.size(); ++s) {
+    std::vector<BenchEntry> entries;
+    for (const KernelSeries& k : kernels) entries.push_back({k.name, k.ns[s], 1});
+    side[s] = make_report(std::move(entries));
+  }
+  return side;
 }
 
-TEST(BenchCompare, ThresholdIsStrict) {
-  const BenchReport baseline = make_report({{"k", 100.0, 1}});
-  const auto at = [&](double current_ns, double threshold) {
-    const auto rows =
-        compare_bench(baseline, make_report({{"k", current_ns, 1}}),
-                      threshold);
-    return rows.front().status;
-  };
-  EXPECT_EQ(at(110.0, 0.10), BenchStatus::kOk);      // exactly +10%
-  EXPECT_EQ(at(110.1, 0.10), BenchStatus::kRegress);  // just past the gate
-  EXPECT_EQ(at(90.0, 0.10), BenchStatus::kOk);       // exactly -10%
-  EXPECT_EQ(at(89.9, 0.10), BenchStatus::kImprove);
-  EXPECT_EQ(at(140.0, 0.50), BenchStatus::kOk);      // wider gate
+const BenchComparison& row_of(const std::vector<BenchComparison>& rows,
+                              const std::string& name) {
+  for (const auto& row : rows) {
+    if (row.name == name) return row;
+  }
+  ADD_FAILURE() << "no comparison row for " << name;
+  return rows.front();
 }
 
-TEST(BenchCompare, SelfCompareHasZeroRegressions) {
-  const BenchReport report = make_report({{"a", 10.0, 1}, {"b", 20.0, 1}});
-  const auto rows = compare_bench(report, report, 0.10);
+// A ~2% spread: medians 100, IQR 2.
+const std::vector<double> kTight = {100.0, 101.0, 99.0, 102.0, 98.0};
+// A ~40% spread: median 100, IQR 40.
+const std::vector<double> kWide = {60.0, 120.0, 100.0, 140.0, 80.0};
+
+std::vector<double> scaled(const std::vector<double>& ns, double factor) {
+  std::vector<double> out;
+  for (const double v : ns) out.push_back(v * factor);
+  return out;
+}
+
+TEST(BenchCompare, IdenticalDistributionsHaveNoRegressions) {
+  const auto base = make_side({{"a", kTight}, {"b", kWide}});
+  // Same values, other order: a same-binary A/A pair.
+  const auto head = make_side({{"a", {98.0, 102.0, 100.0, 99.0, 101.0}},
+                               {"b", {140.0, 60.0, 80.0, 100.0, 120.0}}});
+  const auto rows = compare_bench(base, head);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.status, BenchStatus::kOk) << row.name;
+    EXPECT_DOUBLE_EQ(row.delta, 0.0);
+  }
   std::ostringstream os;
   EXPECT_EQ(render_bench_comparison(os, rows), 0u);
 }
 
+TEST(BenchCompare, MedianAndInterquartileDistanceComeFromTheSamples) {
+  const auto rows = compare_bench(make_side({{"k", kWide}}),
+                                  make_side({{"k", scaled(kTight, 1.05)}}));
+  EXPECT_DOUBLE_EQ(rows[0].base_median_ns, 100.0);
+  EXPECT_DOUBLE_EQ(rows[0].base_iqr_ns, 40.0);
+  EXPECT_DOUBLE_EQ(rows[0].head_median_ns, 105.0);
+  EXPECT_NEAR(rows[0].head_iqr_ns, 2.1, 1e-12);
+  EXPECT_NEAR(rows[0].delta, 0.05, 1e-12);
+}
+
+TEST(BenchCompare, ConsistentSlowdownBeyondTheSpreadRegresses) {
+  const auto rows =
+      compare_bench(make_side({{"slow", kTight}, {"same", kTight}}),
+                    make_side({{"slow", scaled(kTight, 1.5)},
+                               {"same", kTight}}));
+  EXPECT_EQ(row_of(rows, "slow").status, BenchStatus::kRegress);
+  EXPECT_NEAR(row_of(rows, "slow").delta, 0.5, 1e-12);
+  EXPECT_EQ(row_of(rows, "same").status, BenchStatus::kOk);
+  std::ostringstream os;
+  EXPECT_EQ(render_bench_comparison(os, rows), 1u);
+  EXPECT_NE(os.str().find("REGRESS"), std::string::npos);
+}
+
+TEST(BenchCompare, MovePastTheThresholdInsideTheSpreadIsUnresolved) {
+  // +15% median move against a 40% interquartile distance: not evidence.
+  const auto up = compare_bench(make_side({{"k", kWide}}),
+                                make_side({{"k", scaled(kWide, 1.15)}}));
+  EXPECT_EQ(up[0].status, BenchStatus::kUnresolved);
+  const auto down = compare_bench(make_side({{"k", kWide}}),
+                                  make_side({{"k", scaled(kWide, 0.85)}}));
+  EXPECT_EQ(down[0].status, BenchStatus::kUnresolved);
+  std::ostringstream os;
+  EXPECT_EQ(render_bench_comparison(os, up), 0u);
+  EXPECT_NE(os.str().find("unresolved"), std::string::npos);
+}
+
+TEST(BenchCompare, HeadSpreadAlsoHidesAMove) {
+  // Base's five samples sit tight while head's scatter 40%: a +15% median
+  // move is inside head's spread, so it is unresolved either way round.
+  const auto up = compare_bench(make_side({{"k", kTight}}),
+                                make_side({{"k", scaled(kWide, 1.15)}}));
+  EXPECT_EQ(up[0].status, BenchStatus::kUnresolved);
+  const auto down = compare_bench(make_side({{"k", kTight}}),
+                                  make_side({{"k", scaled(kWide, 0.85)}}));
+  EXPECT_EQ(down[0].status, BenchStatus::kUnresolved);
+}
+
+TEST(BenchCompare, SpeedupBeyondTheSpreadImproves) {
+  const auto rows = compare_bench(make_side({{"k", kTight}}),
+                                  make_side({{"k", scaled(kTight, 0.5)}}));
+  EXPECT_EQ(rows[0].status, BenchStatus::kImprove);
+}
+
+TEST(BenchCompare, ThresholdIsStrict) {
+  const std::vector<double> flat(5, 100.0);  // zero spread
+  const auto at = [&](double head_ns) {
+    return compare_bench(make_side({{"k", flat}}),
+                         make_side({{"k", std::vector<double>(5, head_ns)}}))
+        .front()
+        .status;
+  };
+  EXPECT_EQ(at(110.0), BenchStatus::kOk);      // exactly +10%
+  EXPECT_EQ(at(110.1), BenchStatus::kRegress);  // just past the gate
+  EXPECT_EQ(at(90.0), BenchStatus::kOk);       // exactly -10%
+  EXPECT_EQ(at(89.9), BenchStatus::kImprove);
+}
+
+TEST(BenchCompare, AddedAndRemovedKernelsDoNotGate) {
+  const auto rows = compare_bench(make_side({{"kept", kTight},
+                                             {"gone", kTight}}),
+                                  make_side({{"kept", kTight},
+                                             {"new", scaled(kTight, 9.0)}}));
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].name, "kept");
+  EXPECT_EQ(rows[1].name, "gone");
+  EXPECT_EQ(rows[1].status, BenchStatus::kRemoved);
+  EXPECT_EQ(rows[2].name, "new");
+  EXPECT_EQ(rows[2].status, BenchStatus::kAdded);
+  std::ostringstream os;
+  EXPECT_EQ(render_bench_comparison(os, rows), 0u);
+  EXPECT_NE(os.str().find("removed"), std::string::npos);
+  EXPECT_NE(os.str().find("added"), std::string::npos);
+}
+
+TEST(BenchCompare, RefusesTooFewSamples) {
+  const auto five = make_side({{"k", kTight}});
+  const auto four = make_side({{"k", {100.0, 101.0, 99.0, 102.0}}});
+  EXPECT_THROW((void)compare_bench(four, five), cisp::Error);
+  EXPECT_THROW((void)compare_bench(five, four), cisp::Error);
+}
+
+TEST(BenchCompare, RefusesAnInconsistentKernelSetWithinOneSide) {
+  const auto base = make_side({{"a", kTight}, {"b", kTight}});
+  auto dropped = make_side({{"a", kTight}, {"b", kTight}});
+  dropped[3].entries.pop_back();  // one sample skipped kernel b
+  EXPECT_THROW((void)compare_bench(base, dropped), cisp::Error);
+  EXPECT_THROW((void)compare_bench(dropped, base), cisp::Error);
+
+  auto renamed = make_side({{"a", kTight}, {"b", kTight}});
+  renamed[2].entries[1].name = "c";  // same size, different set
+  EXPECT_THROW((void)compare_bench(base, renamed), cisp::Error);
+
+  auto doubled = make_side({{"a", kTight}, {"b", kTight}});
+  doubled[0].entries[1].name = "a";  // a kernel listed twice
+  EXPECT_THROW((void)compare_bench(doubled, base), cisp::Error);
+}
+
+TEST(BenchCompare, RefusesFastMismatches) {
+  const auto base = make_side({{"k", kTight}});
+  auto full = make_side({{"k", kTight}});
+  full[4].fast = false;
+  EXPECT_THROW((void)compare_bench(base, full), cisp::Error);
+  EXPECT_THROW((void)compare_bench(full, base), cisp::Error);
+}
+
 // ---------------------------------------------------------------------------
-// CLI: perf compare-only mode (no timing run)
+// CLI: `perf --against ... --current ...` (compare mode) and `perf --out`
 // ---------------------------------------------------------------------------
 
 struct TempDir {
@@ -156,6 +267,18 @@ std::string write_file(const std::string& dir, const std::string& name,
   return path;
 }
 
+/// Writes each sample of a side as `<stem>-<i>.json`; returns the paths.
+std::vector<std::string> write_side(const std::string& dir,
+                                    const std::string& stem,
+                                    const std::vector<BenchReport>& side) {
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < side.size(); ++s) {
+    paths.push_back(write_file(dir, stem + "-" + std::to_string(s) + ".json",
+                               to_json(side[s])));
+  }
+  return paths;
+}
+
 int cli(const std::vector<std::string>& args, std::string* out_text = nullptr,
         std::string* err_text = nullptr) {
   std::vector<const char*> argv = {"cisp_experiments"};
@@ -169,151 +292,113 @@ int cli(const std::vector<std::string>& args, std::string* out_text = nullptr,
   return code;
 }
 
-TEST(PerfCli, CompareOnlyGatesOnRegression) {
-  TempDir dir("gate");
-  const std::string base =
-      write_file(dir.path, "base.json",
-                 to_json(make_report({{"k1", 100.0, 1}, {"k2", 100.0, 1}})));
-  const std::string slow =
-      write_file(dir.path, "slow.json",
-                 to_json(make_report({{"k1", 150.0, 1}, {"k2", 100.0, 1}})));
+/// `perf --against b... --current h...`, plus any extra arguments.
+int compare_cli(const std::vector<std::string>& base,
+                const std::vector<std::string>& head,
+                std::string* out_text = nullptr,
+                const std::vector<std::string>& extra = {}) {
+  std::vector<std::string> args = {"perf"};
+  for (const auto& path : base) {
+    args.push_back("--against");
+    args.push_back(path);
+  }
+  for (const auto& path : head) {
+    args.push_back("--current");
+    args.push_back(path);
+  }
+  args.insert(args.end(), extra.begin(), extra.end());
+  return cli(args, out_text);
+}
 
-  // Self-compare: clean exit.
+TEST(PerfCli, CompareModeExitCodes) {
+  TempDir dir("compare");
+  const auto base = write_side(dir.path, "base",
+                               make_side({{"a", kTight}, {"b", kWide},
+                                          {"gone", kTight}}));
+  const auto same = write_side(
+      dir.path, "same",
+      make_side({{"a", {98.0, 102.0, 100.0, 99.0, 101.0}},
+                 {"b", {140.0, 60.0, 80.0, 100.0, 120.0}},
+                 {"gone", kTight}}));
+  const auto slow = write_side(
+      dir.path, "slow",
+      make_side({{"a", scaled(kTight, 1.5)}, {"b", kWide}, {"gone", kTight}}));
+  const auto noisy = write_side(
+      dir.path, "noisy",
+      make_side({{"a", kTight}, {"b", scaled(kWide, 1.15)},
+                 {"gone", kTight}}));
+  const auto reshaped = write_side(
+      dir.path, "reshaped",
+      make_side({{"a", kTight}, {"b", kWide}, {"new", kTight}}));
+
   std::string out;
-  EXPECT_EQ(cli({"perf", "--current", base, "--against", base}, &out), 0);
-  EXPECT_NE(out.find("no regressions"), std::string::npos);
-
-  // A 50% regression fails the gate...
-  std::string err;
-  EXPECT_EQ(cli({"perf", "--current", slow, "--against", base}, &out, &err),
-            1);
+  EXPECT_EQ(compare_cli(base, same, &out), 0);
+  EXPECT_NE(out.find("0 regression(s); 0 removed, 0 added"),
+            std::string::npos);
+  EXPECT_EQ(compare_cli(base, slow, &out), 1);
   EXPECT_NE(out.find("REGRESS"), std::string::npos);
-
-  // ...unless the gate is warn-only (the CI default this PR)...
-  EXPECT_EQ(cli({"perf", "--current", slow, "--against", base, "--warn-only"},
-                &out, &err),
-            0);
-  EXPECT_NE(err.find("warn-only"), std::string::npos);
-
-  // ...or the threshold is widened past the delta.
-  EXPECT_EQ(cli({"perf", "--current", slow, "--against", base, "--threshold",
-                 "0.6"},
-                &out),
-            0);
+  EXPECT_EQ(compare_cli(base, noisy, &out), 0);
+  EXPECT_NE(out.find("unresolved"), std::string::npos);
+  EXPECT_EQ(compare_cli(base, reshaped, &out), 0);
+  EXPECT_NE(out.find("0 regression(s); 1 removed, 1 added"),
+            std::string::npos);
 }
 
-TEST(PerfCli, HardForOverridesWarnOnly) {
-  TempDir dir("hardfor");
-  const std::string base =
-      write_file(dir.path, "base.json",
-                 to_json(make_report(
-                     {{"greedy_solver", 100.0, 1}, {"other", 100.0, 1}})));
-  const std::string slow =
-      write_file(dir.path, "slow.json",
-                 to_json(make_report(
-                     {{"greedy_solver", 150.0, 1}, {"other", 100.0, 1}})));
+TEST(PerfCli, CompareModeRefusesBadSampleSets) {
+  TempDir dir("refuse");
+  const auto base = write_side(dir.path, "base", make_side({{"k", kTight}}));
+  const std::vector<std::string> four(base.begin(), base.end() - 1);
+  EXPECT_NE(compare_cli(base, four), 0);
+  EXPECT_NE(compare_cli(four, base), 0);
+  EXPECT_NE(compare_cli(base, {}), 0);
 
-  // A glob matching the regressed kernel fails the job even under
-  // --warn-only (the CI shape for the solver/allocator hot paths).
-  std::string out;
-  std::string err;
-  EXPECT_EQ(cli({"perf", "--current", slow, "--against", base, "--warn-only",
-                 "--hard-for", "*solver*"},
-                &out, &err),
-            1);
-  EXPECT_NE(err.find("HARD regression"), std::string::npos);
-
-  // A glob that matches nothing leaves the gate warn-only.
-  EXPECT_EQ(cli({"perf", "--current", slow, "--against", base, "--warn-only",
-                 "--hard-for", "max_min*"},
-                &out, &err),
-            0);
-
-  // '?' matches exactly one character; the flag is repeatable and any
-  // matching glob escalates.
-  EXPECT_EQ(cli({"perf", "--current", slow, "--against", base, "--warn-only",
-                 "--hard-for", "max_min*", "--hard-for", "greedy_solve?"},
-                &out, &err),
-            1);
-
-  // Without a regression the globs are inert.
-  EXPECT_EQ(cli({"perf", "--current", base, "--against", base, "--hard-for",
-                 "*"},
-                &out, &err),
-            0);
+  auto full = make_side({{"k", kTight}});
+  full[2].fast = false;
+  EXPECT_NE(compare_cli(base, write_side(dir.path, "full", full)), 0);
+  auto skipped = make_side({{"k", kTight}, {"j", kTight}});
+  skipped[0].entries.pop_back();
+  EXPECT_NE(compare_cli(write_side(dir.path, "skipped", skipped), base), 0);
 }
 
-TEST(PerfCli, SoftForToleratesMatchingRegressionsUnderTheHardGate) {
-  TempDir dir("softfor");
-  const std::string base = write_file(
-      dir.path, "base.json",
-      to_json(make_report({{"exp.wallclock", 100.0, 1},
-                           {"max_min_kernel", 100.0, 1}})));
-  const std::string exp_slow = write_file(
-      dir.path, "exp_slow.json",
-      to_json(make_report({{"exp.wallclock", 150.0, 1},
-                           {"max_min_kernel", 100.0, 1}})));
-  const std::string kernel_slow = write_file(
-      dir.path, "kernel_slow.json",
-      to_json(make_report({{"exp.wallclock", 100.0, 1},
-                           {"max_min_kernel", 150.0, 1}})));
-
-  // Under the HARD gate (no --warn-only), a regression on a kernel
-  // matching a soft glob is reported but does not fail the job — the CI
-  // shape for noisy wall-clock entries.
-  std::string out;
+TEST(PerfCli, RunModeNeedsOutAndDoesNotMixWithCompareFlags) {
+  TempDir dir("modes");
+  const auto base = write_side(dir.path, "base", make_side({{"k", kTight}}));
   std::string err;
-  EXPECT_EQ(cli({"perf", "--current", exp_slow, "--against", base,
-                 "--soft-for", "exp.*"},
-                &out, &err),
-            0);
-  EXPECT_NE(out.find("soft regression"), std::string::npos);
-  EXPECT_NE(err.find("soft-tolerated"), std::string::npos);
-
-  // A regression NOT matching any soft glob still fails hard.
-  EXPECT_EQ(cli({"perf", "--current", kernel_slow, "--against", base,
-                 "--soft-for", "exp.*"},
-                &out, &err),
-            1);
-
-  // --hard-for wins over --soft-for when both match the same kernel.
-  EXPECT_EQ(cli({"perf", "--current", exp_slow, "--against", base,
-                 "--soft-for", "exp.*", "--hard-for", "*wallclock*"},
-                &out, &err),
-            1);
-  EXPECT_NE(err.find("HARD regression"), std::string::npos);
-
-  // A baseline kernel missing from the current run is a gating row too;
-  // a soft glob covering it keeps the gate green.
-  const std::string missing_exp = write_file(
-      dir.path, "missing_exp.json",
-      to_json(make_report({{"max_min_kernel", 100.0, 1}})));
-  EXPECT_EQ(cli({"perf", "--current", missing_exp, "--against", base},
-                &out, &err),
-            1);
-  EXPECT_EQ(cli({"perf", "--current", missing_exp, "--against", base,
-                 "--soft-for", "exp.*"},
-                &out, &err),
-            0);
-
-  // Without a regression the soft globs are inert.
-  EXPECT_EQ(cli({"perf", "--current", base, "--against", base, "--soft-for",
-                 "*"},
-                &out, &err),
-            0);
+  EXPECT_NE(cli({"perf"}, nullptr, &err), 0);
+  EXPECT_NE(err.find("--out"), std::string::npos);
+  EXPECT_NE(cli({"perf", "--fast"}), 0);
+  const std::string out_path =
+      (std::filesystem::path(dir.path) / "run.json").string();
+  for (const std::vector<std::string>& run_flags :
+       {std::vector<std::string>{"--out", out_path},
+        std::vector<std::string>{"--fast"}}) {
+    EXPECT_NE(compare_cli(base, base, nullptr, run_flags), 0)
+        << run_flags.front();
+  }
+  // The suite's kernels are serial with fixed fixture seeds: perf takes
+  // no --threads or --seed.
+  for (const std::vector<std::string>& knob :
+       {std::vector<std::string>{"--threads", "2"},
+        std::vector<std::string>{"--seed", "3"}}) {
+    std::vector<std::string> args = {"perf", "--out", out_path};
+    args.insert(args.end(), knob.begin(), knob.end());
+    EXPECT_NE(cli(args, nullptr, &err), 0) << knob.front();
+    EXPECT_NE(err.find("unknown perf flag"), std::string::npos);
+  }
+  EXPECT_FALSE(std::filesystem::exists(out_path));
 }
 
 TEST(PerfCli, CompareOnlyFailsCleanlyOnBadInput) {
   TempDir dir("bad");
-  const std::string good =
-      write_file(dir.path, "good.json", to_json(make_report({{"k", 1.0, 1}})));
-  const std::string bad =
-      write_file(dir.path, "bad.json", "{\"schema\": \"nope\"}");
-  EXPECT_NE(cli({"perf", "--current", bad, "--against", good}), 0);
-  EXPECT_NE(cli({"perf", "--current", good, "--against",
-                 (std::filesystem::path(dir.path) / "absent.json").string()}),
-            0);
+  auto good = write_side(dir.path, "good", make_side({{"k", kTight}}));
+  auto with_bad = good;
+  with_bad[0] = write_file(dir.path, "bad.json", "{\"schema\": \"nope\"}");
+  EXPECT_NE(compare_cli(good, with_bad), 0);
+  auto with_absent = good;
+  with_absent[4] = (std::filesystem::path(dir.path) / "absent.json").string();
+  EXPECT_NE(compare_cli(with_absent, good), 0);
   EXPECT_NE(cli({"perf", "--bogus-flag"}), 0);
+  EXPECT_NE(compare_cli(good, good, nullptr, {"--threshold", "0.5"}), 0);
 }
 
 }  // namespace

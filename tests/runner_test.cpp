@@ -262,6 +262,42 @@ TEST(RunnerCli, JsonFlagRendersJson) {
             std::string::npos);
 }
 
+TEST(RunnerCli, SweepCombinesCellsBehindALeadingAxisColumn) {
+  std::string out;
+  ASSERT_EQ(cli({"sweep", "unit_param_echo", "--axis", "x=2,3.5", "--set",
+                 "label=hi", "--seed", "7", "--fast", "--no-cache", "--json"},
+                &out),
+            0);
+  // One combined table: the axis value leads every row, then the cell's
+  // own columns (which here include the swept knob itself).
+  EXPECT_NE(out.find("{\"experiment\": \"unit_param_echo_sweep\", "
+                     "\"tables\": [{\"slug\": \"unit_param_echo\", "
+                     "\"title\": \"echo\", \"columns\": [\"x\", \"x\", "
+                     "\"label\", \"seed\", \"fast\"], \"rows\": "
+                     "[[\"2\", 2.000, \"hi\", 7, \"fast\"], "
+                     "[\"3.5\", 3.500, \"hi\", 7, \"fast\"]]}]"),
+            std::string::npos)
+      << out;
+}
+
+TEST(RunnerCli, SweepRejectsSettingTheAxisKeyAndRunOnlyFlags) {
+  std::string err;
+  EXPECT_NE(cli({"sweep", "unit_param_echo", "--axis", "x=1,2", "--set",
+                 "x=3", "--no-cache"},
+                nullptr, &err),
+            0);
+  EXPECT_NE(err.find("cannot also be --set"), std::string::npos) << err;
+  for (const char* run_only : {"--metrics", "--trace"}) {
+    EXPECT_NE(cli({"sweep", "unit_param_echo", "--axis", "x=1,2", run_only,
+                   "t.json", "--no-cache"},
+                  nullptr, &err),
+              0);
+    EXPECT_NE(err.find(std::string("unknown sweep flag: ") + run_only),
+              std::string::npos)
+        << err;
+  }
+}
+
 TEST(CacheKey, DependsOnNameParamsSeedAndFast) {
   Params params;
   const std::uint64_t base = cache_key("exp", params, 0, false);

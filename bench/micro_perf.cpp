@@ -266,6 +266,19 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                                 .dist_km.size();
     (void)profile;
   });
+  // The procedural field the raster fill and tower siting call: every
+  // 0.05-degree node of the bench raster's patch, 81 x 161 points per op.
+  const terrain::SyntheticTerrain synth = terrain::contiguous_us().make_terrain();
+  add("synthetic_elevation", [&] {
+    double sum = 0.0;
+    for (int r = 0; r <= 80; ++r) {
+      for (int c = 0; c <= 160; ++c) {
+        sum += synth.elevation_m({38.0 + r * 0.05, -106.0 + c * 0.05});
+      }
+    }
+    volatile double sink = sum;
+    (void)sink;
+  });
   const auto profile = terrain::build_profile(raster, prof_a, prof_b, 0.5);
   add("hop_clearance", [&] {
     volatile bool clear = rf::evaluate_clearance(profile, 90.0, 90.0).clear;

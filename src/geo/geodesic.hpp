@@ -24,6 +24,14 @@ namespace cisp::geo {
 /// Initial bearing from a to b, degrees clockwise from north in [0, 360).
 [[nodiscard]] double initial_bearing_deg(const LatLon& a, const LatLon& b) noexcept;
 
+/// A point as a unit vector in Earth-centred coordinates (z toward the
+/// north pole, x toward lon 0).
+struct Vec3 {
+  double x, y, z;
+};
+
+[[nodiscard]] Vec3 to_unit_vector(const LatLon& p) noexcept;
+
 /// Point a fraction f in [0,1] along the great circle from a to b.
 [[nodiscard]] LatLon interpolate(const LatLon& a, const LatLon& b, double f) noexcept;
 
@@ -32,7 +40,10 @@ namespace cisp::geo {
                                  double dist_km) noexcept;
 
 /// Samples the great circle from a to b every ~`step_km` (both endpoints
-/// included; at least two points).
+/// included; at least two points): n = max(1, ceil(distance / step))
+/// segments. The slerp basis (unit vectors, central angle, its sine) is
+/// built once per path, and point i is bitwise interpolate(a, b, i / n).
+/// Throws cisp::Error on a non-positive step or a non-finite endpoint.
 [[nodiscard]] std::vector<LatLon> sample_path(const LatLon& a, const LatLon& b,
                                               double step_km);
 

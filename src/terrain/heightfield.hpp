@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "geo/geodesic.hpp"
 #include "geo/latlon.hpp"
 #include "terrain/noise.hpp"
 
@@ -48,6 +49,31 @@ struct Ridge {
 };
 
 /// Procedural continental terrain.
+///
+/// A ridge adds peak * envelope * crest_mod, with envelope =
+/// exp(-d^2 / 2 sigma^2) and d the distance to the ridge's arc; it adds
+/// nothing once envelope < 1e-4, i.e. once d > sigma * sqrt(2 ln 1e4) (~4.29
+/// sigma). Most points lie that far from most ridges, so the constructor
+/// builds a reach table, one entry per ridge, from half the arc length L/2
+/// and the envelope cutoff (with a 1e-6 relative margin): the arc midpoint
+/// M (latitude and unit vector), the latitude span and the squared
+/// unit-vector chord of the angle (cutoff + L/2) / R, and the unit normal n
+/// of the ridge's great circle with sin(cutoff / R). elevation_m skips a ridge when R * |lat_p - lat_M|
+/// or the chord from p to M exceeds cutoff + L/2, or when |u_p . n| exceeds
+/// sin(cutoff / R); it builds p's unit vector u_p only when some ridge
+/// survives the latitude test.
+///
+/// The skip is exact. Every point of the arc lies within L/2 of M, so the
+/// arc is at least |pM| - L/2 away from p; and it lies on the great circle,
+/// which is R * asin|u_p . n| away. The segment distance returns d(a, p),
+/// d(b, p) or the cross-track distance to a foot on the arc, each at least
+/// both bounds. A skipped ridge is therefore one whose envelope is below
+/// 1e-4, which the per-ridge loop drops anyway; the margin dwarfs the
+/// rounding of every term. Ridges that survive run the unchanged per-ridge
+/// code in the unchanged order (the arc length and the bearing a -> b come
+/// from the table, computed by the same calls), so elevations are bitwise
+/// those of the loop over all ridges; terrain_test holds that loop as its
+/// oracle. The latitude test assumes |lat| <= 90, as LatLon does.
 class SyntheticTerrain final : public Heightfield {
  public:
   struct Params {
@@ -68,15 +94,33 @@ class SyntheticTerrain final : public Heightfield {
   [[nodiscard]] double clutter_m(const geo::LatLon& p) const override;
 
  private:
+  /// One ridge's reach: beyond reach_deg of latitude or the chord whose
+  /// square is reach_chord2 from the arc midpoint, or beyond band_sin from
+  /// the ridge's great circle, its envelope is below the cutoff.
+  struct RidgeReach {
+    double seg_len_km = 0.0;   ///< arc length L
+    double theta12 = 0.0;      ///< initial bearing a -> b, radians
+    double mid_lat_deg = 0.0;
+    geo::Vec3 mid{0.0, 0.0, 0.0};
+    double reach_deg = 0.0;    ///< (cutoff + L/2) / R, in degrees
+    double reach_chord2 = 0.0; ///< (2 sin(reach / 2R))^2; inf past pi
+    geo::Vec3 normal{0.0, 0.0, 0.0};  ///< unit normal of the great circle
+    double band_sin = 0.0;     ///< sin(cutoff / R); inf for a point ridge
+  };
+
   Params params_;
   Fbm plains_;
   Fbm rough_;
   Fbm canopy_;
+  std::vector<RidgeReach> reach_;  ///< parallel to params_.ridges
 };
 
 /// Rasterized cache of another heightfield over a bounding box; bilinear
-/// sampling, clamped at the box edges. Typical speedup over the procedural
-/// field: ~50x, which makes continental hop-feasibility sweeps practical.
+/// sampling, clamped at the box edges (a NaN coordinate samples as NaN).
+/// A lookup costs ~15 ns; SyntheticTerrain::elevation_m averages ~1.2 us
+/// over the contiguous US (~80x; ~4.6 us before the reach skip), which
+/// makes continental hop-feasibility sweeps practical. Measured on a
+/// 4-vCPU Xeon VM, Release. The box and cell sizes must be finite.
 class RasterTerrain final : public Heightfield {
  public:
   RasterTerrain(const Heightfield& source, const BoundingBox& box,

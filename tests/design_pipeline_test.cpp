@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "design/cost_model.hpp"
 #include "design/greedy.hpp"
@@ -12,6 +14,7 @@
 #include "geo/geodesic.hpp"
 #include "util/stats.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace cisp::design {
 namespace {
@@ -33,6 +36,31 @@ TEST(Pipeline, ScenarioBasics) {
   EXPECT_GE(s.centers.size(), 30u);
   EXPECT_GT(s.tower_graph.towers.size(), 800u);
   EXPECT_GT(s.tower_graph.feasible_hops, s.tower_graph.towers.size() / 2);
+}
+
+/// Golden checksum of the fast-US tower graph: every tower's position and
+/// height, then every edge's endpoints and weight, bit for bit. It pins the
+/// synthetic terrain (tower hilltop siting), the raster and the sampled hop
+/// profiles; computed with the per-ridge terrain loop and per-point slerp
+/// that the reach skip and the per-path slerp basis replaced.
+constexpr std::uint64_t kGoldenTowerGraph = 0xe3db27c876f79912ULL;
+
+TEST(Pipeline, TowerGraphMatchesTheGoldenChecksum) {
+  const TowerGraph& tg = fast_us().tower_graph;
+  std::uint64_t h = 0x70776572;
+  for (const auto& t : tg.towers) {
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.pos.lat_deg));
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.pos.lon_deg));
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.height_m));
+  }
+  for (const auto& e : tg.graph.edges()) {
+    h = hash_combine(h, e.from);
+    h = hash_combine(h, e.to);
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(e.weight));
+  }
+  EXPECT_EQ(tg.towers.size(), 7131u);
+  EXPECT_EQ(tg.feasible_hops, 69630u);
+  EXPECT_EQ(h, kGoldenTowerGraph);
 }
 
 TEST(Pipeline, HopsRespectRangeAndAreSymmetric) {

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "geo/geodesic.hpp"
 #include "geo/latlon.hpp"
 #include "geo/spatial_index.hpp"
@@ -112,6 +118,102 @@ TEST(Geodesic, SamplePathEndpointsAndSpacing) {
 
 TEST(Geodesic, SamplePathRejectsBadStep) {
   EXPECT_THROW(sample_path(kNyc, kChicago, 0.0), Error);
+}
+
+/// The per-call slerp that interpolate() ran before sample_path shared one
+/// basis per path, verbatim: it rebuilds both unit vectors, the angle and
+/// its sine for every point.
+LatLon reference_interpolate(const LatLon& a, const LatLon& b, double f) {
+  const auto unit = [](const LatLon& p) {
+    const double lat = deg_to_rad(p.lat_deg);
+    const double lon = deg_to_rad(p.lon_deg);
+    return Vec3{std::cos(lat) * std::cos(lon), std::cos(lat) * std::sin(lon),
+                std::sin(lat)};
+  };
+  const Vec3 va = unit(a);
+  const Vec3 vb = unit(b);
+  const double dot = std::clamp(
+      va.x * vb.x + va.y * vb.y + va.z * vb.z, -1.0, 1.0);
+  const double omega = std::acos(dot);
+  if (omega < 1e-12) return a;
+  const double sa = std::sin((1.0 - f) * omega) / std::sin(omega);
+  const double sb = std::sin(f * omega) / std::sin(omega);
+  const Vec3 v{sa * va.x + sb * vb.x, sa * va.y + sb * vb.y,
+               sa * va.z + sb * vb.z};
+  const double norm = std::sqrt(v.x * v.x + v.y * v.y + v.z * v.z);
+  const double lat = std::asin(std::clamp(v.z / norm, -1.0, 1.0));
+  const double lon = std::atan2(v.y, v.x);
+  return {rad_to_deg(lat), rad_to_deg(lon)};
+}
+
+bool bitwise_equal(const LatLon& x, const LatLon& y) {
+  return std::bit_cast<std::uint64_t>(x.lat_deg) ==
+             std::bit_cast<std::uint64_t>(y.lat_deg) &&
+         std::bit_cast<std::uint64_t>(x.lon_deg) ==
+             std::bit_cast<std::uint64_t>(y.lon_deg);
+}
+
+/// sample_path(a, b, step)[i] must be bitwise interpolate(a, b, i / n), and
+/// both bitwise the per-call reference.
+void expect_path_is_interpolate(const LatLon& a, const LatLon& b,
+                                double step_km) {
+  const auto path = sample_path(a, b, step_km);
+  ASSERT_GE(path.size(), 2u);
+  const auto n = static_cast<double>(path.size() - 1);
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const double f = static_cast<double>(i) / n;
+    ASSERT_TRUE(bitwise_equal(path[i], interpolate(a, b, f)))
+        << a << " -> " << b << " step " << step_km << " point " << i;
+    ASSERT_TRUE(bitwise_equal(path[i], reference_interpolate(a, b, f)))
+        << a << " -> " << b << " step " << step_km << " point " << i;
+  }
+}
+
+TEST(Geodesic, SamplePathIsBitwiseInterpolate) {
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    const LatLon a{rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)};
+    const LatLon b{rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)};
+    expect_path_is_interpolate(a, b, rng.uniform(5.0, 500.0));
+  }
+  // Hop-scale paths at the hop graph's coarse and fine steps.
+  for (int i = 0; i < 2000; ++i) {
+    const LatLon a{rng.uniform(25.0, 49.0), rng.uniform(-124.0, -67.0)};
+    const LatLon b = destination(a, rng.uniform(0.0, 360.0),
+                                 rng.uniform(0.5, 100.0));
+    expect_path_is_interpolate(a, b, 2.0);
+    expect_path_is_interpolate(a, b, 0.5);
+  }
+  // Coincident endpoints, and paths shorter than one step.
+  expect_path_is_interpolate(kNyc, kNyc, 1.0);
+  expect_path_is_interpolate(kNyc, {40.7128, -74.0061}, 1.0);
+  expect_path_is_interpolate(kNyc, kChicago, 5000.0);
+  // Near-antipodal paths, where sin(omega) is small.
+  for (const double off : {1e-3, 0.1, 1.0}) {
+    expect_path_is_interpolate(kNyc, {-kNyc.lat_deg + off,
+                                      kNyc.lon_deg + 180.0 - off},
+                               250.0);
+  }
+  expect_path_is_interpolate({0.0, 0.0}, {0.0, 179.9}, 100.0);
+}
+
+TEST(Geodesic, NanCoordinatePropagatesThroughDistance) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(distance_km({nan, -90.0}, {40.0, -90.0})));
+  EXPECT_TRUE(std::isnan(distance_km({40.0, nan}, {40.0, -90.0})));
+  // The min(sqrt(h), 1) clamp still holds h = 1 (antipodes) to half the
+  // circumference.
+  EXPECT_NEAR(distance_km({0.0, 0.0}, {0.0, 180.0}),
+              3.14159265358979323846 * kEarthRadiusKm, 1e-6);
+}
+
+TEST(Geodesic, SamplePathRejectsNonFiniteEndpoints) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sample_path({nan, -90.0}, {40.0, -90.0}, 100.0), Error);
+  EXPECT_THROW(sample_path({40.0, -90.0}, {40.0, nan}, 100.0), Error);
+  EXPECT_THROW(sample_path({inf, -90.0}, {40.0, -90.0}, 100.0), Error);
+  EXPECT_THROW(sample_path({40.0, -90.0}, {40.0, -inf}, 100.0), Error);
 }
 
 TEST(LatLonValidate, RejectsOutOfRange) {

@@ -1,10 +1,16 @@
 // Unit and property tests for src/terrain: noise determinism/continuity,
-// synthetic terrain shape (ridges where geography says so), raster fidelity,
-// and profile extraction.
+// synthetic terrain shape (ridges where geography says so), the ridge-reach
+// skip against the per-ridge loop it replaced, raster fidelity and input
+// checks, and profile extraction.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 
 #include "geo/geodesic.hpp"
 #include "terrain/heightfield.hpp"
@@ -111,6 +117,179 @@ TEST(SyntheticTerrain, NonNegativeEverywhereProperty) {
   }
 }
 
+// --- Ridge-reach skip oracle ---------------------------------------------
+
+/// The segment distance of src/terrain/heightfield.cpp, verbatim.
+double reference_distance_to_segment_km(const geo::LatLon& p,
+                                        const geo::LatLon& a,
+                                        const geo::LatLon& b) noexcept {
+  const double seg_len = geo::distance_km(a, b);
+  if (seg_len < 1e-9) return geo::distance_km(p, a);
+  const double d_ap = geo::distance_km(a, p);
+  if (d_ap < 1e-9) return 0.0;
+  const double delta13 = d_ap / geo::kEarthRadiusKm;
+  const double theta13 = geo::deg_to_rad(geo::initial_bearing_deg(a, p));
+  const double theta12 = geo::deg_to_rad(geo::initial_bearing_deg(a, b));
+  const double cross =
+      std::asin(std::clamp(std::sin(delta13) * std::sin(theta13 - theta12),
+                           -1.0, 1.0)) *
+      geo::kEarthRadiusKm;
+  const double cos_ratio = std::clamp(
+      std::cos(delta13) / std::cos(cross / geo::kEarthRadiusKm), -1.0, 1.0);
+  double along = std::acos(cos_ratio) * geo::kEarthRadiusKm;
+  // acos loses the sign: a point "behind" a has along-track ~0 but large
+  // distance; detect via bearing difference.
+  const double bearing_diff =
+      std::fabs(std::remainder(theta13 - theta12, 2.0 * 3.14159265358979323846));
+  if (bearing_diff > 3.14159265358979323846 / 2.0) along = -along;
+  if (along <= 0.0) return d_ap;
+  if (along >= seg_len) return geo::distance_km(p, b);
+  return std::fabs(cross);
+}
+
+/// What the oracle saw, per (point, ridge) evaluation of the reference.
+struct OracleStats {
+  std::size_t points = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  std::size_t skippable = 0;     ///< d > cutoff + L/2: the reach test skips it
+  std::size_t near_kept = 0;     ///< 4.28 sigma <= d, envelope kept
+  std::size_t near_dropped = 0;  ///< d <= 4.30 sigma, envelope dropped
+};
+
+/// SyntheticTerrain::elevation_m as the loop over every ridge that the
+/// reach skip replaced, verbatim; the fBm fields come from the same seeds
+/// as SyntheticTerrain's constructor. `stats` only observes.
+class ReferenceTerrain {
+ public:
+  explicit ReferenceTerrain(SyntheticTerrain::Params params)
+      : params_(std::move(params)),
+        plains_({.seed = splitmix64(params_.seed ^ 0xA11CE5),
+                 .octaves = 4,
+                 .frequency = params_.plains_freq}),
+        rough_({.seed = splitmix64(params_.seed ^ 0xB0B5),
+                .octaves = 5,
+                .frequency = params_.rough_freq}) {
+    for (const Ridge& ridge : params_.ridges) {
+      skip_beyond_km_.push_back(ridge.width_km * std::sqrt(2.0 * std::log(1e4)) +
+                                0.5 * geo::distance_km(ridge.a, ridge.b));
+    }
+  }
+
+  [[nodiscard]] double elevation_m(const geo::LatLon& p,
+                                   OracleStats& stats) const {
+    double elev = params_.base_m;
+    elev += params_.plains_amp_m * plains_.at(p.lon_deg, p.lat_deg);
+    elev += params_.rough_amp_m * rough_.at(p.lon_deg, p.lat_deg);
+    for (const Ridge& ridge : params_.ridges) {
+      const double d = reference_distance_to_segment_km(p, ridge.a, ridge.b);
+      const double sigma = ridge.width_km;
+      const double envelope = std::exp(-(d * d) / (2.0 * sigma * sigma));
+      observe(ridge, d, envelope, stats);
+      if (envelope < 1e-4) continue;
+      // Modulate the crest so ridges have peaks and passes rather than a
+      // uniform wall; reuse the rough field at a ridge-specific offset.
+      const double crest_mod =
+          0.75 + 0.25 * rough_.at(p.lon_deg * 0.7 + ridge.peak_m,
+                                  p.lat_deg * 0.7 - ridge.width_km);
+      elev += ridge.peak_m * envelope * crest_mod;
+    }
+    return std::max(0.0, elev);
+  }
+
+ private:
+  void observe(const Ridge& ridge, double d, double envelope,
+               OracleStats& stats) const {
+    const auto k = static_cast<std::size_t>(&ridge - params_.ridges.data());
+    if (d > skip_beyond_km_[k]) ++stats.skippable;
+    const double sigma = ridge.width_km;
+    if (envelope >= 1e-4 && d >= 4.28 * sigma) ++stats.near_kept;
+    if (envelope < 1e-4 && d <= 4.30 * sigma) ++stats.near_dropped;
+  }
+
+  SyntheticTerrain::Params params_;
+  Fbm plains_;
+  Fbm rough_;
+  /// Per ridge: cutoff + L/2. Past it the reach test skips the ridge.
+  std::vector<double> skip_beyond_km_;
+};
+
+void compare_at(const SyntheticTerrain& fast, const ReferenceTerrain& ref,
+                const geo::LatLon& p, OracleStats& stats) {
+  ++stats.points;
+  const double got = fast.elevation_m(p);
+  const double want = ref.elevation_m(p, stats);
+  if (std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want)) {
+    return;
+  }
+  if (stats.mismatches++ == 0) {
+    std::ostringstream os;
+    os.precision(17);
+    os << p << ": skip " << got << ", reference " << want;
+    stats.first_mismatch = os.str();
+  }
+}
+
+/// Points at 4.28-4.30 sigma from both endpoints and from the axis of every
+/// ridge: the envelope cutoff (4.2919 sigma) falls inside each ring band.
+std::vector<geo::LatLon> cutoff_rings(const std::vector<Ridge>& ridges) {
+  std::vector<geo::LatLon> points;
+  for (const Ridge& ridge : ridges) {
+    for (int k = 0; k <= 4; ++k) {
+      const double r = ridge.width_km * (4.28 + 0.005 * k);
+      for (int deg = 0; deg < 360; deg += 2) {
+        points.push_back(geo::destination(ridge.a, deg, r));
+        points.push_back(geo::destination(ridge.b, deg, r));
+      }
+      for (int i = 1; i < 64; ++i) {
+        const geo::LatLon q = geo::interpolate(ridge.a, ridge.b, i / 64.0);
+        const double track = geo::initial_bearing_deg(q, ridge.b);
+        points.push_back(geo::destination(q, track + 90.0, r));
+        points.push_back(geo::destination(q, track - 90.0, r));
+      }
+    }
+  }
+  return points;
+}
+
+TEST(SyntheticTerrain, RidgeSkipIsBitIdenticalToTheReference) {
+  for (const Region& region : {contiguous_us(2022), europe(7)}) {
+    SCOPED_TRACE(region.name);
+    const SyntheticTerrain fast = region.make_terrain();
+    const ReferenceTerrain ref(region.terrain_params);
+    OracleStats stats;
+    const BoundingBox& box = region.box;
+    // Every 0.05-degree node of the region's box.
+    const auto rows = static_cast<int>(
+        std::lround((box.lat_max - box.lat_min) / 0.05));
+    const auto cols = static_cast<int>(
+        std::lround((box.lon_max - box.lon_min) / 0.05));
+    for (int r = 0; r <= rows; ++r) {
+      for (int c = 0; c <= cols; ++c) {
+        compare_at(fast, ref, {box.lat_min + r * 0.05, box.lon_min + c * 0.05},
+                   stats);
+      }
+    }
+    // Random points within 5 degrees of the box.
+    Rng rng(region.terrain_params.seed ^ 0x5EED);
+    for (int i = 0; i < 500000; ++i) {
+      compare_at(fast, ref,
+                 {rng.uniform(box.lat_min - 5.0, box.lat_max + 5.0),
+                  rng.uniform(box.lon_min - 5.0, box.lon_max + 5.0)},
+                 stats);
+    }
+    for (const geo::LatLon& p : cutoff_rings(region.terrain_params.ridges)) {
+      compare_at(fast, ref, p, stats);
+    }
+    EXPECT_EQ(stats.mismatches, 0u)
+        << "of " << stats.points << " points; first " << stats.first_mismatch;
+    // The oracle exercised both sides of the skip.
+    EXPECT_GT(stats.skippable, stats.points);
+    EXPECT_GT(stats.near_kept, 0u);
+    EXPECT_GT(stats.near_dropped, 0u);
+  }
+}
+
 TEST(Flatland, IsFlat) {
   const auto region = flatland({.lat_min = 30, .lat_max = 40,
                                 .lon_min = -100, .lon_max = -90});
@@ -151,6 +330,48 @@ TEST(RasterTerrain, RejectsDegenerateBox) {
                               .lon_max = -90},
                              0.01),
                Error);
+}
+
+TEST(RasterTerrain, RejectsNonFiniteBoxAndCellSize) {
+  const auto region = flatland({.lat_min = 30, .lat_max = 31,
+                                .lon_min = -100, .lon_max = -99});
+  const SyntheticTerrain source = region.make_terrain();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RasterTerrain(source,
+                             {.lat_min = 30, .lat_max = inf, .lon_min = -100,
+                              .lon_max = -99},
+                             0.05),
+               Error);
+  EXPECT_THROW(RasterTerrain(source,
+                             {.lat_min = 30, .lat_max = 31, .lon_min = -inf,
+                              .lon_max = -99},
+                             0.05),
+               Error);
+  EXPECT_THROW(RasterTerrain(source,
+                             {.lat_min = nan, .lat_max = 31, .lon_min = -100,
+                              .lon_max = -99},
+                             0.05),
+               Error);
+  EXPECT_THROW(RasterTerrain(source, region.box, inf), Error);
+  EXPECT_THROW(RasterTerrain(source, region.box, 0.05, inf), Error);
+}
+
+TEST(RasterTerrain, NanCoordinateSamplesAsNan) {
+  const auto region = flatland({.lat_min = 30, .lat_max = 31,
+                                .lon_min = -100, .lon_max = -99});
+  const RasterTerrain raster(region.make_terrain(), region.box, 0.05);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(raster.elevation_m({nan, -99.5})));
+  EXPECT_TRUE(std::isnan(raster.clutter_m({30.5, nan})));
+}
+
+TEST(Profile, RejectsNonFiniteEndpoints) {
+  const auto region = flatland({.lat_min = 30, .lat_max = 31,
+                                .lon_min = -100, .lon_max = -99});
+  const RasterTerrain raster(region.make_terrain(), region.box, 0.05);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(build_profile(raster, {nan, -99.5}, {30.5, -99.2}, 0.5), Error);
 }
 
 TEST(Profile, EndpointsAndMonotoneDistance) {

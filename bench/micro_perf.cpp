@@ -651,6 +651,31 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     (void)out;
   });
 
+  // A saturated multi-hop UDP cell on the allocator kernels' designed
+  // 30-site topology (MW links plus the fiber mesh) at 250% of the
+  // provisioned aggregate: drop-tail queues, link wires many packets deep
+  // and the calendar's spill re-tune, end to end through the packet
+  // backend.
+  {
+    net::BuildOptions build;
+    build.rate_scale = 0.01;
+    const auto packet_model = net::make_traffic_model(
+        net::TrafficBackend::Packet, flow_instance.input, flow_instance.plan,
+        build);
+    const auto saturated = net::flow::DemandMatrix::from_users(
+        flow_instance.traffic, 10000, 100e9 * 2.5 / 10000.0,
+        build.rate_scale);
+    net::TrafficRunOptions cell;
+    cell.sim_duration_s = 0.1;
+    cell.drain_s = 0.02;
+    cell.seed = 5;
+    add("des_packet_cell", [&] {
+      volatile double d =
+          packet_model->run(saturated, cell).stats.delivered_bps;
+      (void)d;
+    });
+  }
+
   results.note(
       "Wall-clock kernel timings: comparisons are only meaningful between "
       "runs\nwith the same fast flag on the same host. `cisp_experiments "

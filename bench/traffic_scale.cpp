@@ -8,9 +8,9 @@
 // Reports per-scale delay/stretch/served-fraction/utilization plus the
 // per-city-pair stretch breakdown at the largest scale. Scales run as
 // parallel sweep cells. The packet backend (calendar-queue DES with
-// packet arenas) is allowed up to 2e5 endpoints; beyond that, per-packet
-// state outruns memory at 10^6 users' rates and the fluid backends are
-// the right tool.
+// per-link packet wires) is allowed up to 2e5 endpoints; beyond that,
+// per-packet state outruns memory at 10^6 users' rates and the fluid
+// backends are the right tool.
 
 #include <algorithm>
 

@@ -1,5 +1,7 @@
 #include "net/link.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace cisp::net {
@@ -17,7 +19,7 @@ Link::Link(Simulator& sim, double rate_bps, Time prop_delay_s,
 }
 
 void Link::send(const Packet& packet) {
-  queue_samples_.add(static_cast<double>(queue_.size()));
+  queue_samples_.add(queue_.size());
   if (!busy_) {
     start_transmission(packet);
     return;
@@ -30,17 +32,23 @@ void Link::send(const Packet& packet) {
 }
 
 void Link::start_transmission(const Packet& packet) {
-  busy_ = true;
   const Time serialization =
       static_cast<double>(packet.size_bytes) * 8.0 / rate_bps_;
+  const Time arrival = sim_.now() + (serialization + prop_delay_s_);
+  CISP_REQUIRE(wire_.empty() || arrival >= wire_.back().when,
+               "link arrival overtakes the packet ahead of it (serialization "
+               "below the clock's resolution)");
+  busy_ = true;
   busy_time_ += serialization;
+  tx_end_ = sim_.now() + serialization;
   ++sent_;
   bytes_ += packet.size_bytes;
-  // Arrival at the far end after serialization + propagation. The deliver
-  // event is scheduled first so a zero-propagation link still delivers
-  // before dequeuing the next packet (the FIFO tie-break the old closure
-  // core established).
-  sim_.schedule_link_deliver(serialization + prop_delay_s_, this, packet);
+  // The arrival is stamped before the done event is scheduled, so a
+  // zero-propagation link still delivers before dequeuing the next packet
+  // (the FIFO tie-break the old closure core established).
+  const std::uint64_t seq = sim_.take_seq();
+  if (wire_.empty()) sim_.push_wire_head(arrival, seq, this);
+  wire_.push_back({arrival, seq, packet});
   sim_.schedule_link_done(serialization, this);
 }
 
@@ -53,8 +61,24 @@ void Link::transmission_done() {
   }
 }
 
+void Link::wire_arrival() {
+  const Packet packet = wire_.front().packet;
+  wire_.pop_front();
+  // The successor goes in before the delivery can schedule anything: it
+  // is the minimum of what is left on this wire, and it was (in the
+  // per-packet view) already pending.
+  if (!wire_.empty()) {
+    const WireEntry& next = wire_.front();
+    sim_.push_wire_head(next.when, next.seq, this);
+  }
+  deliver_(packet);
+}
+
 double Link::utilization(Time now) const {
-  return now > 0.0 ? busy_time_ / now : 0.0;
+  if (now <= 0.0) return 0.0;
+  // busy_time_ counts the latest transmission in full; take back the
+  // part of it still ahead of `now`.
+  return (busy_time_ - std::max(0.0, tx_end_ - now)) / now;
 }
 
 }  // namespace cisp::net

@@ -2,7 +2,6 @@
 // FlowMonitor (ns-3's FlowMonitor counterpart): per-flow delay, throughput
 // and loss accounting, fed by sources and sinks.
 
-#include <unordered_map>
 #include <vector>
 
 #include "net/sim.hpp"
@@ -23,15 +22,13 @@ class FlowMonitor {
   void on_send(const Packet& packet);
   void on_receive(const Packet& packet, Time now);
 
+  /// Stats of a flow the monitor has seen (sent or received a packet).
   [[nodiscard]] const FlowStats& flow(std::uint32_t flow_id) const;
-  [[nodiscard]] const std::unordered_map<std::uint32_t, FlowStats>& flows()
-      const noexcept {
-    return flows_;
-  }
+  /// Stats of `flow_id`, or nullptr when the monitor has not seen it.
+  [[nodiscard]] const FlowStats* find(std::uint32_t flow_id) const noexcept;
 
   /// Aggregate mean one-way delay over all delivered packets, seconds.
-  /// Summed per flow in ascending flow-id order, so the result does not
-  /// depend on the flow map's iteration order.
+  /// Summed per flow in ascending flow-id order.
   [[nodiscard]] double mean_delay_s() const;
   /// Aggregate loss rate in [0, 1]: 1 - received/sent packets.
   [[nodiscard]] double loss_rate() const;
@@ -41,7 +38,11 @@ class FlowMonitor {
   }
 
  private:
-  std::unordered_map<std::uint32_t, FlowStats> flows_;
+  FlowStats& slot(std::uint32_t flow_id);
+
+  /// Indexed by flow id: flow ids are demand indices, so the table is
+  /// dense. An unseen id reads all-zero.
+  std::vector<FlowStats> flows_;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };

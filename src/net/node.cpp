@@ -1,5 +1,7 @@
 #include "net/node.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace cisp::net {
@@ -12,20 +14,57 @@ constexpr std::uint64_t route_key(std::uint32_t src, std::uint32_t dst) {
 
 void Node::set_route(std::uint32_t src, std::uint32_t dst, Link* next) {
   CISP_REQUIRE(next != nullptr, "null next-hop link");
-  routes_[route_key(src, dst)] = next;
+  if (2 * (route_count_ + 1) > routes_.size()) grow_routes();
+  const std::uint64_t key = route_key(src, dst);
+  const std::size_t mask = routes_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    RouteSlot& slot = routes_[i];
+    if (slot.next == nullptr) {
+      slot = {key, next};
+      ++route_count_;
+      return;
+    }
+    if (slot.key == key) {
+      slot.next = next;
+      return;
+    }
+  }
+}
+
+void Node::grow_routes() {
+  std::vector<RouteSlot> old = std::move(routes_);
+  const std::size_t size = old.empty() ? 16 : 2 * old.size();
+  routes_.assign(size, RouteSlot{});
+  route_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  for (const RouteSlot& slot : old) {
+    if (slot.next == nullptr) continue;
+    std::size_t i = home(slot.key);
+    while (routes_[i].next != nullptr) i = (i + 1) & (size - 1);
+    routes_[i] = slot;
+  }
 }
 
 void Node::receive(const Packet& packet) {
   if (packet.dst == id_) {
-    if (local_) local_(packet);
+    if (local_) {
+      local_(packet);
+    } else {
+      ++sink_drops_;
+    }
     return;
   }
-  const auto it = routes_.find(route_key(packet.src, packet.dst));
-  if (it == routes_.end()) {
-    ++routing_drops_;
-    return;
+  if (!routes_.empty()) {
+    const std::uint64_t key = route_key(packet.src, packet.dst);
+    const std::size_t mask = routes_.size() - 1;
+    for (std::size_t i = home(key); routes_[i].next != nullptr;
+         i = (i + 1) & mask) {
+      if (routes_[i].key == key) {
+        routes_[i].next->send(packet);
+        return;
+      }
+    }
   }
-  it->second->send(packet);
+  ++routing_drops_;
 }
 
 Network::Network(Simulator& sim, std::size_t node_count) : sim_(sim) {

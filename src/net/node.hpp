@@ -4,7 +4,6 @@
 // to attached applications.
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -29,19 +28,41 @@ class Node {
   void set_route(std::uint32_t src, std::uint32_t dst, Link* next);
 
   /// Receives a packet: delivers locally or forwards. Packets with no
-  /// installed route are counted as routing drops.
+  /// installed route are counted as routing drops, packets addressed to
+  /// this node while it has no local sink as sink drops.
   void receive(const Packet& packet);
 
   [[nodiscard]] std::uint64_t routing_drops() const noexcept {
     return routing_drops_;
   }
+  [[nodiscard]] std::uint64_t sink_drops() const noexcept {
+    return sink_drops_;
+  }
 
  private:
   friend class Network;
+
+  /// One slot of the route table; `next == nullptr` marks it empty.
+  struct RouteSlot {
+    std::uint64_t key = 0;  ///< src << 32 | dst
+    Link* next = nullptr;
+  };
+  [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                    route_shift_);
+  }
+  void grow_routes();
+
   std::uint32_t id_;
   LocalDeliverFn local_;
-  std::unordered_map<std::uint64_t, Link*> routes_;
+  /// Open-addressing route table (linear probing, power-of-two size, at
+  /// most half full): one multiply, a shift and usually one slot read
+  /// per forwarded packet.
+  std::vector<RouteSlot> routes_;
+  unsigned route_shift_ = 64;
+  std::size_t route_count_ = 0;
   std::uint64_t routing_drops_ = 0;
+  std::uint64_t sink_drops_ = 0;
 };
 
 /// Owns the simulator wiring of nodes and links.

@@ -113,6 +113,7 @@ CalendarQueue::CalendarQueue()
       bucket_count_(kMinBuckets),
       bucket_mask_(kMinBuckets - 1),
       grow_at_(2 * kMinBuckets),
+      retune_window_(kRetuneWindowPerBucket * kMinBuckets),
       rot_shift_(static_cast<unsigned>(std::countr_zero(kMinBuckets))),
       width_(1e-4),
       inv_width_(1e4) {}
@@ -120,6 +121,7 @@ CalendarQueue::CalendarQueue()
 void CalendarQueue::insert(const EventRecord& event, std::uint64_t vb) {
   const std::size_t b = bucket_of(vb);
   const std::size_t cnt = counts_[b] & kCountMask;
+  ++inserted_;
   if (cnt < kSlotsPerBucket) {
     slots_[b * kSlotsPerBucket + cnt] = event;
     ++counts_[b];
@@ -127,6 +129,7 @@ void CalendarQueue::insert(const EventRecord& event, std::uint64_t vb) {
     spill_[b].push_back(event);
     counts_[b] |= kSpillFlag;
     ++spill_count_;
+    ++spilled_;
   }
 }
 
@@ -145,6 +148,8 @@ void CalendarQueue::push(EventRecord&& event) {
     // horizon into one rotation and starve the rings).
     if (count_ - future_count_ > grow_at_) {
       resize(std::min(bucket_count_ * 2, kMaxBuckets));
+    } else if (inserted_ >= retune_window_) {
+      retune_on_spill();
     }
   } else {
     // Far future: a sequential append instead of a random wheel write.
@@ -295,6 +300,22 @@ bool CalendarQueue::pop_min(Time bound, EventRecord& out) {
   }
 }
 
+void CalendarQueue::retune_on_spill() {
+  if (spilled_ * kRetuneSpillShare > inserted_) {
+    // The width went stale: the population the last resize sized it for
+    // is gone, and buckets overflow. Re-estimate it at the same size.
+    // Back off geometrically while re-tuning does not help (a flood of
+    // equal timestamps no width can spread).
+    const std::size_t window = retune_window_;
+    resize(bucket_count_);
+    retune_window_ = 2 * window;
+    return;
+  }
+  inserted_ = 0;
+  spilled_ = 0;
+  retune_window_ = retune_base();
+}
+
 void CalendarQueue::resize(std::size_t bucket_count) {
   std::vector<EventRecord> all;
   all.reserve(count_);
@@ -337,8 +358,11 @@ void CalendarQueue::resize(std::size_t bucket_count) {
   bucket_mask_ = bucket_count - 1;
   rot_shift_ = static_cast<unsigned>(std::countr_zero(bucket_count));
   // The live events sit in `all`, so the wheel never copies dead slots:
-  // swap in a fresh fault-zeroed mapping and re-insert.
-  SlotArray(bucket_count * kSlotsPerBucket).swap(slots_);
+  // swap in a fresh fault-zeroed mapping (or, at the same size, keep the
+  // mapping: the zeroed counts hide its stale slots) and re-insert.
+  if (slots_.size() != bucket_count * kSlotsPerBucket) {
+    SlotArray(bucket_count * kSlotsPerBucket).swap(slots_);
+  }
   counts_.assign(bucket_count, 0);
   spill_.resize(bucket_count);
   std::uint64_t min_vb = std::numeric_limits<std::uint64_t>::max();
@@ -368,6 +392,9 @@ void CalendarQueue::resize(std::size_t bucket_count) {
   grow_at_ = std::max(
       bucket_count_ < kMaxBuckets ? 2 * bucket_count_ : 8 * bucket_count_,
       wheel + wheel / 4);
+  inserted_ = 0;
+  spilled_ = 0;
+  retune_window_ = std::max(retune_window_, retune_base());
 }
 
 // --- Simulator -------------------------------------------------------------
@@ -405,19 +432,8 @@ void Simulator::schedule_timer_at(Time when, TimerFn fn, void* ctx) {
              false);
 }
 
-void Simulator::schedule_link_deliver(Time delay, Link* link,
-                                      const Packet& packet) {
-  CISP_REQUIRE(delay >= 0.0, "cannot schedule in the past");
-  std::uint32_t slot;
-  if (free_packets_.empty()) {
-    slot = static_cast<std::uint32_t>(packets_.size());
-    packets_.push_back(packet);
-  } else {
-    slot = free_packets_.back();
-    free_packets_.pop_back();
-    packets_[slot] = packet;
-  }
-  push_event(now_ + delay, EventKind::kLinkDeliver, link, slot, false);
+void Simulator::push_wire_head(Time when, std::uint64_t seq, Link* link) {
+  push_record(when, seq, EventKind::kLinkDeliver, link, 0, false);
 }
 
 void Simulator::schedule_link_done(Time delay, Link* link) {
@@ -449,12 +465,17 @@ void Simulator::schedule_tcp_start_at(Time when, TcpFlow* flow) {
 
 void Simulator::push_event(Time when, EventKind kind, void* target,
                            std::uint64_t arg, bool flag) {
+  push_record(when, next_seq_++, kind, target, arg, flag);
+}
+
+void Simulator::push_record(Time when, std::uint64_t seq, EventKind kind,
+                            void* target, std::uint64_t arg, bool flag) {
   CISP_REQUIRE((reinterpret_cast<std::uintptr_t>(target) &
                 ~std::uintptr_t{EventRecord::kPtrMask}) == 0,
                "event target outside the 48-bit address range");
   EventRecord event;
   event.when = when;
-  event.seq = next_seq_++;
+  event.seq = seq;
   event.meta = EventRecord::pack(kind, target, flag);
   event.arg = arg;
   queue_.push(std::move(event));
@@ -471,15 +492,9 @@ void Simulator::dispatch(EventRecord& event) {
       handler();
       break;
     }
-    case EventKind::kLinkDeliver: {
-      // Copy out and free the arena slot before delivering: the handler
-      // may schedule more packets, and a LIFO-fresh slot stays cache-warm.
-      const std::uint32_t slot = static_cast<std::uint32_t>(event.arg);
-      const Packet packet = packets_[slot];
-      free_packets_.push_back(slot);
-      static_cast<Link*>(event.target())->deliver_arrival(packet);
+    case EventKind::kLinkDeliver:
+      static_cast<Link*>(event.target())->wire_arrival();
       break;
-    }
     case EventKind::kLinkDone:
       static_cast<Link*>(event.target())->transmission_done();
       break;

@@ -10,13 +10,15 @@
 // type-erased closures: the simulator's hot producers (link serialization
 // done, packet arrival, UDP emit, TCP pace/RTO, flow start) schedule
 // through typed entry points that store a target pointer plus immediate
-// arguments — no per-event heap allocation. In-flight packets live in a
-// free-listed arena owned by the simulator and ride by 32-bit index, so
-// the records the pop scan walks stay 40 bytes. Bare callbacks get the
-// allocation-free kTimer kind (function pointer + context); generic
-// callers (tests, experiment glue) still get std::function scheduling,
-// whose handlers live in a free-listed slab so steady-state closure churn
-// allocates nothing either.
+// arguments — no per-event heap allocation. In-flight packets ride
+// their link: each Link keeps a FIFO "wire" of (arrival, seq, packet)
+// entries and only the wire's head holds a calendar entry, so the
+// pending population is one event per busy link, not one per packet in
+// flight (see Link for why that replays the exact (when, seq) order).
+// Bare callbacks get the allocation-free kTimer kind (function pointer +
+// context); generic callers (tests, experiment glue) still get
+// std::function scheduling, whose handlers live in a free-listed slab so
+// steady-state closure churn allocates nothing either.
 //
 // Determinism contract: events execute in (when, seq) order — seq is the
 // schedule-call sequence number, so simultaneous events run FIFO exactly
@@ -74,12 +76,12 @@ inline constexpr std::size_t kEventKindCount = 8;
 /// One fixed-size event record (32 bytes — two per cache line). Trivially
 /// copyable by design: bucket moves are memcpy, and the record owns no
 /// heap state — closure handlers live in the simulator's slab (slot index
-/// in `arg`), in-flight packets in the simulator's packet arena (index in
-/// `arg`). Record size IS the event core's working set (the calendar
-/// queue's pop scan walks these by value), so the tag bits ride in the
-/// unused high bits of the target pointer: user-space addresses fit in 48
-/// bits on every platform we build for (enforced at schedule time), which
-/// leaves room for the kind (3 bits) and the TCP retransmit flag.
+/// in `arg`), in-flight packets on their link's wire. Record size IS the
+/// event core's working set (the calendar queue's pop scan walks these
+/// by value), so the tag bits ride in the unused high bits of the target
+/// pointer: user-space addresses fit in 48 bits on every platform we
+/// build for (enforced at schedule time), which leaves room for the kind
+/// (3 bits) and the TCP retransmit flag.
 struct EventRecord {
   static constexpr std::uint64_t kPtrMask = (std::uint64_t{1} << 48) - 1;
   static constexpr unsigned kKindShift = 48;
@@ -88,7 +90,7 @@ struct EventRecord {
   Time when = 0.0;
   std::uint64_t seq = 0;  ///< FIFO among simultaneous events (determinism)
   std::uint64_t meta = 0;  ///< target ptr (low 48) | kind << 48 | flag << 52
-  std::uint64_t arg = 0;   ///< closure slot / packet index / TCP seg / fn
+  std::uint64_t arg = 0;   ///< closure slot / TCP seg / RTO epoch / fn
 
   [[nodiscard]] EventKind kind() const noexcept {
     return static_cast<EventKind>((meta >> kKindShift) & 0x7u);
@@ -160,7 +162,9 @@ class SlotArray {
 /// current virtual slice. The bucket count doubles/halves with the
 /// population and the width re-estimates from the head-of-queue event
 /// density, so bucket occupancy stays O(1) under both uniform and
-/// bursty schedules. All adaptation is a pure function of the pushed
+/// bursty schedules. A wheel that has stopped resizing re-tunes its
+/// width at the same size when too many inserts spill (see
+/// retune_on_spill). All adaptation is a pure function of the pushed
 /// events — determinism never depends on the layout.
 ///
 /// Storage is one flat slot array (kSlotsPerBucket records per bucket)
@@ -221,6 +225,19 @@ class CalendarQueue {
   /// future rings into the wheel and advances distributed_rot_.
   void distribute(std::uint64_t target_rot);
   void resize(std::size_t bucket_count);
+  /// Called every retune_window_ wheel inserts: re-tunes the width at the
+  /// same size when more than 1/kRetuneSpillShare of them spilled.
+  void retune_on_spill();
+  [[nodiscard]] std::size_t retune_base() const noexcept {
+    return kRetuneWindowPerBucket * bucket_count_;
+  }
+
+  /// Spill re-tune trigger: the share of spilled inserts, and the window
+  /// length (inserts per bucket) over which it is measured. A resize
+  /// costs O(buckets + events), so a window of several inserts per
+  /// bucket keeps re-tuning amortized O(1) per insert.
+  static constexpr std::size_t kRetuneSpillShare = 16;
+  static constexpr std::size_t kRetuneWindowPerBucket = 4;
 
   SlotArray slots_;                    ///< bucket_count_ * kSlotsPerBucket
   std::vector<std::uint8_t> counts_;   ///< inline occupancy per bucket
@@ -235,6 +252,11 @@ class CalendarQueue {
   /// occupancy once it is capped (then resize() re-tunes the width at
   /// the same size; geometric spacing keeps that amortized O(log)).
   std::size_t grow_at_;
+  /// Wheel inserts and spilled inserts since the last resize or clean
+  /// re-tune window: the spill re-tune reads only the event history.
+  std::size_t inserted_ = 0;
+  std::size_t spilled_ = 0;
+  std::size_t retune_window_;
   unsigned rot_shift_;  ///< log2(bucket_count_): vb >> rot_shift_ = rotation
   double width_;
   double inv_width_;
@@ -267,7 +289,6 @@ class Simulator {
   // Typed allocation-free scheduling (the hot paths). Targets must
   // outlive the event; relative delays must be >= 0, absolute times
   // >= now().
-  void schedule_link_deliver(Time delay, Link* link, const Packet& packet);
   void schedule_link_done(Time delay, Link* link);
   void schedule_udp_emit_at(Time when, UdpCbrSource* source);
   void schedule_tcp_pace_at(Time when, TcpFlow* flow, std::uint64_t segment,
@@ -287,13 +308,25 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_processed(EventKind kind) const noexcept {
     return processed_by_kind_[static_cast<std::size_t>(kind)];
   }
+  /// Calendar entries pending: packets waiting behind their wire's head
+  /// are not counted (each busy wire holds one entry).
   [[nodiscard]] std::size_t events_pending() const noexcept {
     return queue_.size();
   }
 
  private:
+  friend class Link;  ///< stamps and pushes its wire heads
+
+  /// Takes the next schedule sequence number without scheduling: a link
+  /// stamps a packet's arrival when it starts serializing, exactly where
+  /// a per-packet event would have taken its seq.
+  [[nodiscard]] std::uint64_t take_seq() noexcept { return next_seq_++; }
+  /// Pushes a wire head's kLinkDeliver entry under its stamped seq.
+  void push_wire_head(Time when, std::uint64_t seq, Link* link);
   void push_event(Time when, EventKind kind, void* target, std::uint64_t arg,
                   bool flag);
+  void push_record(Time when, std::uint64_t seq, EventKind kind, void* target,
+                   std::uint64_t arg, bool flag);
   void dispatch(EventRecord& event);
   void run_loop(Time bound);
   /// Flushes per-kind counter deltas to obs (no-op while metrics are off;
@@ -312,11 +345,6 @@ class Simulator {
   // steady-state generic scheduling reuses storage instead of allocating.
   std::vector<Handler> closures_;
   std::vector<std::uint32_t> free_closures_;
-
-  // Packet arena: in-flight kLinkDeliver payloads by slot index. The LIFO
-  // free list keeps reused slots cache-warm at steady state.
-  std::vector<Packet> packets_;
-  std::vector<std::uint32_t> free_packets_;
 };
 
 }  // namespace cisp::net

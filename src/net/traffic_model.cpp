@@ -82,7 +82,6 @@ class PacketTrafficModel final : public TrafficModel {
 
     // Per-pair breakdown from the measured flow stats: delivered rate via
     // the packet delivery ratio, latency measured when any packet arrived.
-    const auto& flows = monitor.flows();
     double stretch_acc = 0.0;
     for (std::size_t f = 0; f < demands.pairs().size(); ++f) {
       const flow::PairDemand& pair = demands.pairs()[f];
@@ -92,14 +91,14 @@ class PacketTrafficModel final : public TrafficModel {
       row.users = pair.users;
       row.offered_bps = pair.rate_bps;
       row.latency_s = path_latency_s(instance.view, routes.paths[f]);
-      const auto it = flows.find(static_cast<std::uint32_t>(f));
-      if (it != flows.end() && it->second.sent_packets > 0) {
+      const FlowMonitor::FlowStats* const measured =
+          monitor.find(static_cast<std::uint32_t>(f));
+      if (measured != nullptr && measured->sent_packets > 0) {
         row.delivered_bps =
-            pair.rate_bps *
-            static_cast<double>(it->second.received_packets) /
-            static_cast<double>(it->second.sent_packets);
-        if (it->second.received_packets > 0) {
-          row.latency_s = it->second.delay_s.mean();
+            pair.rate_bps * static_cast<double>(measured->received_packets) /
+            static_cast<double>(measured->sent_packets);
+        if (measured->received_packets > 0) {
+          row.latency_s = measured->delay_s.mean();
         }
       } else {
         // Below the one-packet emission threshold: attach_udp_workload

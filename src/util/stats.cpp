@@ -100,6 +100,29 @@ double select_percentile(std::vector<double>& values, double p) {
   });
 }
 
+void CountHistogram::add(std::size_t value) {
+  if (value >= counts_.size()) counts_.resize(value + 1, 0);
+  ++counts_[value];
+  ++count_;
+  sum_ += value;
+}
+
+double CountHistogram::mean() const {
+  CISP_REQUIRE(count_ > 0, "mean of empty sample set");
+  return static_cast<double>(sum_) / static_cast<double>(count_);
+}
+
+double CountHistogram::percentile(double p) const {
+  return interpolate_rank(count_, p, [&](std::size_t k) {
+    // The k-th smallest sample is the first value whose running count
+    // passes k.
+    std::size_t seen = 0;
+    std::size_t v = 0;
+    while (seen + counts_[v] <= k) seen += counts_[v++];
+    return static_cast<double>(v);
+  });
+}
+
 std::vector<CdfPoint> empirical_cdf(const Samples& samples,
                                     std::size_t max_points) {
   CISP_REQUIRE(max_points >= 2, "CDF needs at least two points");

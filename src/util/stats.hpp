@@ -44,6 +44,29 @@ class Samples {
   double sum_ = 0.0;
 };
 
+/// Samples of small non-negative integers (queue lengths) held as one
+/// count per value: memory grows with the largest value, not with the
+/// number of samples. mean() and percentile() return what Samples would
+/// for the same values, bit for bit: the integer sum is exact in a double
+/// below 2^53, and the percentile interpolates between the same order
+/// statistics.
+class CountHistogram {
+ public:
+  void add(std::size_t value);
+
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] double mean() const;
+  /// Percentile in [0,100] with linear interpolation between order statistics.
+  [[nodiscard]] double percentile(double p) const;
+  [[nodiscard]] double median() const { return percentile(50.0); }
+
+ private:
+  std::vector<std::size_t> counts_;  ///< counts_[v]: samples equal to v
+  std::size_t count_ = 0;
+  std::size_t sum_ = 0;
+};
+
 /// Samples(values).percentile(p), bit for bit, by selecting the two order
 /// statistics it interpolates between instead of sorting: O(n) on
 /// average. Reorders `values`, which must not be empty.

@@ -65,8 +65,10 @@ TEST(Integration, SimulatedDelaysMatchDesignPredictions) {
   for (const std::size_t l : d.topology.links) eval.add_link(l);
 
   std::size_t checked = 0;
-  for (const auto& [flow_id, stats] : instance.monitor.flows()) {
-    if (stats.received_packets < 10) continue;
+  for (std::uint32_t flow_id = 0; flow_id < demands.size(); ++flow_id) {
+    const auto* const measured = instance.monitor.find(flow_id);
+    if (measured == nullptr || measured->received_packets < 10) continue;
+    const auto& stats = *measured;
     const auto& demand = demands[flow_id];
     const double predicted_ms =
         geo::c_latency_for_km(eval.effective_km(demand.src, demand.dst));

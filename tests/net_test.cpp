@@ -119,6 +119,27 @@ TEST(Link, UtilizationAccounting) {
   EXPECT_NEAR(link.utilization(0.1), 0.1, 1e-9);
 }
 
+TEST(Link, UtilizationCountsOnlyTheElapsedPartOfATransmission) {
+  Simulator sim;
+  Link link(sim, 1e6, 0.0, 100, [](const Packet&) {});
+  Packet p;
+  p.size_bytes = 1250;  // 10 ms at 1 Mbps, sent at t = 0
+  link.send(p);
+  // Half-way through the packet the transmitter has been busy all along;
+  // the whole serialization (0.01 s over 0.005 s = 2.0) is not counted yet.
+  EXPECT_DOUBLE_EQ(link.utilization(0.005), 1.0);
+  sim.run_until(0.004);
+  EXPECT_DOUBLE_EQ(link.utilization(0.004), 1.0);
+  sim.run_until(0.02);
+  EXPECT_DOUBLE_EQ(link.utilization(0.02), 0.5);
+  // A second packet at t = 0.02, queried mid-transmission at 0.025:
+  // busy 0.01 + 0.005 of the 0.025 elapsed.
+  link.send(p);
+  EXPECT_DOUBLE_EQ(link.utilization(0.025), 0.6);
+  sim.run();
+  EXPECT_LE(link.utilization(sim.now()), 1.0);
+}
+
 TEST(Network, ForwardsAlongInstalledRoute) {
   Simulator sim;
   Network net(sim, 3);  // 0 - 1 - 2 chain
@@ -149,6 +170,32 @@ TEST(Network, MissingRouteCountsAsRoutingDrop) {
   net.inject(p);
   sim.run();
   EXPECT_EQ(net.node(0).routing_drops(), 1u);
+  EXPECT_EQ(net.node(0).sink_drops(), 0u);
+}
+
+TEST(Network, ArrivalWithoutLocalSinkCountsAsSinkDrop) {
+  Simulator sim;
+  Network net(sim, 2);
+  const std::size_t l = net.add_duplex_link(0, 1, 1e9, 0.001);
+  net.node(0).set_route(0, 1, &net.link(l));
+  Packet p;
+  p.src = 0;
+  p.dst = 1;
+  p.size_bytes = 100;
+  // Routed all the way, but node 1 has no local sink installed.
+  net.inject(p);
+  net.inject(p);
+  sim.run();
+  EXPECT_EQ(net.link(l).packets_sent(), 2u);
+  EXPECT_EQ(net.node(1).sink_drops(), 2u);
+  EXPECT_EQ(net.node(1).routing_drops(), 0u);
+  // With a sink installed, arrivals are delivered, not dropped.
+  int delivered = 0;
+  net.node(1).set_local_deliver([&](const Packet&) { ++delivered; });
+  net.inject(p);
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(net.node(1).sink_drops(), 2u);
 }
 
 TEST(Udp, CbrRateAndDeliveryAccounting) {

@@ -180,6 +180,35 @@ TEST(Samples, SelectPercentileIsBitIdenticalToTheSortedPercentile) {
   EXPECT_THROW((void)select_percentile(one, 101.0), Error);
 }
 
+TEST(CountHistogram, IsBitIdenticalToSamplesOnIntegerValues) {
+  Rng rng(43);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 100u, 2049u}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      Samples samples;
+      CountHistogram histogram;
+      // Queue-length-like values: mostly small with heavy ties, a tail up
+      // to a few hundred.
+      const std::size_t top = trial % 2 == 0 ? 4 : 400;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t v = rng.uniform_index(top + 1);
+        samples.add(static_cast<double>(v));
+        histogram.add(v);
+      }
+      ASSERT_EQ(histogram.count(), samples.count());
+      EXPECT_EQ(histogram.mean(), samples.mean()) << "n=" << n;
+      EXPECT_EQ(histogram.median(), samples.median()) << "n=" << n;
+      for (const double p : {0.0, 1.0, 37.5, 95.0, 99.9, 100.0}) {
+        EXPECT_EQ(histogram.percentile(p), samples.percentile(p))
+            << "n=" << n << " p=" << p;
+      }
+    }
+  }
+  CountHistogram empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_THROW((void)empty.percentile(50.0), Error);
+  EXPECT_THROW((void)empty.mean(), Error);
+}
+
 TEST(Cdf, MonotoneAndCovering) {
   Rng rng(31);
   Samples s;

@@ -135,6 +135,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
       {"cities", "solver_threads", "budget", "heuristic_s",
        "heuristic_stretch", "exact_s", "exact_stretch", "exact_status",
        "lp_rounding", "lp_size"});
+  table.mark_timing("heuristic_s").mark_timing("exact_s");
   for (std::size_t t = 0; t < sweep.size(); ++t) table.row(sweep.at(t));
 
   results.note(

@@ -74,6 +74,10 @@ DiffReport diff_result_sets(const ResultSet& a, const ResultSet& b,
         std::min(table_a.row_count(), table_b.row_count());
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t c = 0; c < table_a.columns().size(); ++c) {
+        if (table_a.is_timing(c) || table_b.is_timing(c)) {
+          ++report.timing_cells_skipped;
+          continue;
+        }
         ++report.cells_compared;
         const Value& cell_a = table_a.at(r, c);
         const Value& cell_b = table_b.at(r, c);
@@ -111,6 +115,9 @@ void render_diff(const DiffReport& report, std::ostream& os) {
   }
   os << report.cells_compared << " cells compared, "
      << report.differing_cells << " differ";
+  if (report.timing_cells_skipped > 0) {
+    os << ", " << report.timing_cells_skipped << " timing cells skipped";
+  }
   if (report.identical()) {
     os << " — identical within tolerance";
   }

@@ -37,6 +37,9 @@ struct CellDiff {
 struct DiffReport {
   std::size_t cells_compared = 0;
   std::size_t differing_cells = 0;
+  /// Cells in columns either side marks as timing (ResultTable::
+  /// mark_timing): never compared, only counted.
+  std::size_t timing_cells_skipped = 0;
   /// Shape problems: tables present on one side only, column/row-count or
   /// note mismatches. Any entry means the sets are not comparable 1:1.
   std::vector<std::string> structural;

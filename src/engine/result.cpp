@@ -79,7 +79,8 @@ ResultTable::ResultTable(std::string slug, std::string title,
                          std::vector<std::string> columns)
     : slug_(std::move(slug)),
       title_(std::move(title)),
-      columns_(std::move(columns)) {
+      columns_(std::move(columns)),
+      timing_(columns_.size(), false) {
   CISP_REQUIRE(!slug_.empty(), "result table slug must be non-empty");
   CISP_REQUIRE(!columns_.empty(), "result table needs at least one column");
 }
@@ -97,9 +98,32 @@ const Value& ResultTable::at(std::size_t row, std::size_t col) const {
   return rows_[row][col];
 }
 
+ResultTable& ResultTable::mark_timing(const std::string& column) {
+  const auto it = std::find(columns_.begin(), columns_.end(), column);
+  CISP_REQUIRE(it != columns_.end(),
+               "no column '" + column + "' in table " + slug_);
+  return mark_timing(static_cast<std::size_t>(it - columns_.begin()));
+}
+
+ResultTable& ResultTable::mark_timing(std::size_t col) {
+  CISP_REQUIRE(col < columns_.size(),
+               "timing column out of range in table " + slug_);
+  timing_[col] = true;
+  return *this;
+}
+
 bool ResultTable::operator==(const ResultTable& other) const {
-  return slug_ == other.slug_ && title_ == other.title_ &&
-         columns_ == other.columns_ && rows_ == other.rows_;
+  if (slug_ != other.slug_ || title_ != other.title_ ||
+      columns_ != other.columns_ || rows_.size() != other.rows_.size()) {
+    return false;
+  }
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      if (is_timing(c) || other.is_timing(c)) continue;
+      if (!(rows_[r][c] == other.rows_[r][c])) return false;
+    }
+  }
+  return true;
 }
 
 ResultTable& ResultSet::add_table(std::string slug, std::string title,
@@ -288,6 +312,16 @@ void serialize(const ResultSet& set, std::ostream& os) {
       os << (c ? "\t" : " ") << escape(table.columns()[c]);
     }
     os << '\n';
+    // Timing marks are their own optional record, so a file written
+    // before they existed still loads (its columns are all results).
+    std::string timing;
+    for (std::size_t c = 0; c < table.columns().size(); ++c) {
+      if (table.is_timing(c)) {
+        timing += timing.empty() ? ' ' : '\t';
+        timing += std::to_string(c);
+      }
+    }
+    if (!timing.empty()) os << "timing" << timing << '\n';
     for (const auto& row : table.rows()) {
       os << "row";
       for (std::size_t c = 0; c < row.size(); ++c) {
@@ -346,6 +380,16 @@ ResultSet deserialize(std::istream& is) {
         cells.push_back(parse_cell(unescape(f)));
       }
       current->row(std::move(cells));
+    } else if (tag == "timing") {
+      CISP_REQUIRE(current != nullptr, "timing record before any table");
+      for (const auto& f : split_fields(payload)) {
+        std::size_t col = 0;
+        const auto [ptr, ec] =
+            std::from_chars(f.data(), f.data() + f.size(), col);
+        CISP_REQUIRE(ec == std::errc{} && ptr == f.data() + f.size(),
+                     "malformed timing record: " + payload);
+        current->mark_timing(col);
+      }
     } else if (tag == "note") {
       set.note(unescape(payload));
     } else if (tag == "prov") {

@@ -76,6 +76,16 @@ class ResultTable {
   /// Appends a row; width must match the column count.
   ResultTable& row(std::vector<Value> cells);
 
+  /// Marks a column as a wall-clock timing. Its cells render like any
+  /// other, but operator== and diff_result_sets skip the column when
+  /// either side marks it: timings vary between byte-identical runs.
+  /// The by-name overload throws cisp::Error for an unknown column.
+  ResultTable& mark_timing(const std::string& column);
+  ResultTable& mark_timing(std::size_t col);
+  [[nodiscard]] bool is_timing(std::size_t col) const noexcept {
+    return col < timing_.size() && timing_[col];
+  }
+
   [[nodiscard]] const std::string& slug() const noexcept { return slug_; }
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
   [[nodiscard]] const std::vector<std::string>& columns() const noexcept {
@@ -93,6 +103,7 @@ class ResultTable {
   std::string slug_;
   std::string title_;
   std::vector<std::string> columns_;
+  std::vector<bool> timing_;  ///< per column; sized with columns_
   std::vector<std::vector<Value>> rows_;
 };
 
@@ -119,7 +130,7 @@ class ResultSet {
   [[nodiscard]] const ResultTable& table(const std::string& slug) const;
   [[nodiscard]] bool has_table(const std::string& slug) const;
 
-  /// True when the set carries no table rows at all (the CI smoke gate).
+  /// True when the set carries no table rows at all (--require-rows).
   [[nodiscard]] bool empty() const noexcept;
   [[nodiscard]] std::size_t total_rows() const noexcept;
 

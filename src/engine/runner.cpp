@@ -1,8 +1,8 @@
 #include "engine/runner.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -29,17 +29,6 @@
 namespace cisp::engine {
 
 namespace {
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
-std::size_t env_threads() {
-  const char* v = std::getenv("CISP_THREADS");
-  if (v == nullptr || *v == '\0') return 0;
-  return static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-}
 
 std::string key_hex(std::uint64_t key) {
   std::ostringstream os;
@@ -89,6 +78,21 @@ const std::string& flag_value(const std::vector<std::string>& args,
   return args[++i];
 }
 
+/// The value of --threads/--seed: a whole unsigned decimal and nothing
+/// else. std::stoul would wrap "-1" to 2^64-1 and read "12abc" as 12.
+std::uint64_t unsigned_flag_value(const std::vector<std::string>& args,
+                                  std::size_t& i) {
+  const std::string& flag = args[i];
+  const std::string& text = flag_value(args, i);
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  CISP_REQUIRE(ec == std::errc{} && ptr == end,
+               flag + " expects a whole unsigned decimal, got '" + text +
+                   "'");
+  return value;
+}
+
 /// Parses args[i] into `options` when it is a flag that run and sweep
 /// share: --threads, --seed, --fast, --set, --csv-dir, --json,
 /// --no-cache, --cache-dir and --require-rows. Advances i past a consumed
@@ -97,9 +101,9 @@ bool parse_shared_flag(const std::vector<std::string>& args, std::size_t& i,
                        RunnerOptions& options) {
   const std::string& arg = args[i];
   if (arg == "--threads") {
-    options.threads = static_cast<std::size_t>(std::stoul(flag_value(args, i)));
+    options.threads = static_cast<std::size_t>(unsigned_flag_value(args, i));
   } else if (arg == "--seed") {
-    options.seed = std::stoull(flag_value(args, i));
+    options.seed = unsigned_flag_value(args, i);
   } else if (arg == "--fast") {
     options.fast = true;
   } else if (arg == "--set") {
@@ -151,9 +155,9 @@ void usage(std::ostream& err) {
          "\n"
          "run flags:\n"
          "  --threads N     worker threads (0 = all cores; results are\n"
-         "                  identical for every value)  [env CISP_THREADS]\n"
+         "                  identical for every value)\n"
          "  --seed S        base seed forwarded to experiments (default 0)\n"
-         "  --fast          coarse substrates for smoke runs [env CISP_FAST]\n"
+         "  --fast          coarse substrates for smoke runs\n"
          "  --set k=v       override a declared parameter (repeatable)\n"
          "  --csv-dir DIR   write one CSV per result table into DIR\n"
          "  --json          print results as JSON instead of tables\n"
@@ -172,7 +176,7 @@ void usage(std::ostream& err) {
          "\n"
          "perf flags (run mode):\n"
          "  --out FILE      write the suite's BENCH json to FILE (required)\n"
-         "  --fast          the reduced-size suite [env CISP_FAST]\n"
+         "  --fast          the reduced-size suite\n"
          "\n"
          "perf flags (compare mode; each repeatable, >= 5 samples a side):\n"
          "  --against FILE  a base sample\n"
@@ -197,7 +201,7 @@ std::string read_text_file(const std::string& path) {
 /// interleaved on one host, so every sample shares the host's noise.
 int cmd_perf(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  RunnerOptions options = RunnerOptions::from_env();
+  RunnerOptions options;
   options.use_cache = false;  // measuring: a cache hit would time nothing
   std::string out_path;
   std::vector<std::string> against_paths;
@@ -334,7 +338,7 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_run(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
-  RunnerOptions options = RunnerOptions::from_env();
+  RunnerOptions options;
   std::string trace_path;
   std::vector<std::string> patterns;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -434,7 +438,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
 /// per-value tables row-wise behind a leading axis column.
 int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
-  RunnerOptions options = RunnerOptions::from_env();
+  RunnerOptions options;
   std::string axis_key;
   std::vector<std::string> axis_values;
   std::string name;
@@ -606,13 +610,6 @@ int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
 }
 
 }  // namespace
-
-RunnerOptions RunnerOptions::from_env() {
-  RunnerOptions options;
-  options.threads = env_threads();
-  options.fast = env_flag("CISP_FAST");
-  return options;
-}
 
 std::string_view build_stamp() noexcept {
 #ifdef CISP_BUILD_HASH

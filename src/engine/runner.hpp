@@ -47,11 +47,6 @@ struct RunnerOptions {
   /// per-experiment snapshot to the RunReport. Collection never perturbs
   /// results (see obs/metrics.hpp) and the snapshot is never cached.
   bool metrics = false;
-
-  /// Defaults with legacy env-var fallbacks applied: CISP_THREADS seeds
-  /// `threads` and CISP_FAST seeds `fast`, so ctest-style invocations keep
-  /// working; explicit flags always win.
-  [[nodiscard]] static RunnerOptions from_env();
 };
 
 /// One experiment's run outcome. `metrics` is populated only when

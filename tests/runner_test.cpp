@@ -158,27 +158,71 @@ TEST(ResultSerialization, RejectsMalformedInput) {
   EXPECT_THROW((void)deserialize(truncated), Error);
 }
 
+ResultSet timed_set(double seconds, double stretch) {
+  ResultSet set;
+  set.add_table("t", "T", {"n", "solve_s", "stretch"})
+      .mark_timing("solve_s")
+      .row({4, Value::real(seconds, 2), Value::real(stretch, 4)});
+  return set;
+}
+
+TEST(ResultSerialization, RoundTripsTheTimingMark) {
+  const ResultSet original = timed_set(0.5, 1.25);
+  std::stringstream buffer;
+  serialize(original, buffer);
+  EXPECT_NE(buffer.str().find("\ntiming 1\n"), std::string::npos)
+      << buffer.str();
+  const ResultSet restored = deserialize(buffer);
+  const ResultTable& table = restored.table("t");
+  EXPECT_FALSE(table.is_timing(0));
+  EXPECT_TRUE(table.is_timing(1));
+  EXPECT_FALSE(table.is_timing(2));
+  EXPECT_EQ(table.at(0, 1).as_real(), 0.5);  // the cell itself survives
+  EXPECT_THROW(ResultTable("t", "T", {"a"}).mark_timing("b"), Error);
+}
+
+TEST(Diff, TimingColumnsAreSkippedButTheirRowsStillCompare) {
+  const ResultSet a = timed_set(0.5, 1.25);
+  const ResultSet slower = timed_set(9.75, 1.25);
+  EXPECT_TRUE(a == slower);
+  const DiffReport same = diff_result_sets(a, slower);
+  EXPECT_TRUE(same.identical());
+  EXPECT_EQ(same.cells_compared, 2u);
+  EXPECT_EQ(same.timing_cells_skipped, 1u);
+
+  // A differing result cell in the same row is still caught.
+  const ResultSet moved = timed_set(9.75, 1.5);
+  EXPECT_FALSE(a == moved);
+  const DiffReport report = diff_result_sets(a, moved);
+  EXPECT_EQ(report.differing_cells, 1u);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_NE(report.cells[0].location.find("(stretch)"), std::string::npos);
+
+  // The column still renders.
+  std::ostringstream csv;
+  render_csv(slower.table("t"), csv);
+  EXPECT_EQ(csv.str(), "n,solve_s,stretch\n4,9.75,1.2500\n");
+}
+
+TEST(Diff, AFileWithoutTimingMarksDiffsCleanAgainstAMarkedOne) {
+  // A result written before the column was marked (no timing record)
+  // against a marked one that differs only there: the mark on either
+  // side skips the column.
+  std::stringstream old_file(
+      "cisp-result-v1\ntable t\tT\ncolumns n\tsolve_s\tstretch\n"
+      "row i:4\tr2:0.5\tr4:1.25\nend\n");
+  const ResultSet unmarked = deserialize(old_file);
+  ASSERT_FALSE(unmarked.table("t").is_timing(1));
+  const ResultSet marked = timed_set(3.0, 1.25);
+  EXPECT_TRUE(diff_result_sets(unmarked, marked).identical());
+  EXPECT_TRUE(diff_result_sets(marked, unmarked).identical());
+  EXPECT_TRUE(unmarked == marked);
+  EXPECT_FALSE(diff_result_sets(unmarked, timed_set(3.0, 2.0)).identical());
+}
+
 // ---------------------------------------------------------------------------
 // Catalog: the real registrations linked into this binary
 // ---------------------------------------------------------------------------
-
-TEST(Catalog, ListsAllMigratedExperiments) {
-  const auto specs = ExperimentRegistry::instance().list();
-  // 18 bench + 6 examples + the 3 test fixtures above.
-  EXPECT_GE(specs.size(), 24u + 3u);
-  for (const char* name :
-       {"fig02_solver_scaling", "fig03_us_network", "fig04a_budget_sweep",
-        "fig04b_disjoint_paths", "fig04c_cost_throughput",
-        "fig05_perturbation", "fig06_pacing", "fig07_weather", "fig08_europe",
-        "fig09_traffic_models", "fig10_tower_constraints", "fig11_traffic_mix",
-        "fig12_gaming", "fig13_web", "sec8_cost_benefit", "ablation_routing",
-        "ablation_technology", "ablation_weather_adaptive", "quickstart",
-        "us_backbone", "europe_backbone", "budget_evolution",
-        "weather_resilience", "interactive_apps"}) {
-    EXPECT_TRUE(ExperimentRegistry::instance().contains(name))
-        << "missing registration: " << name;
-  }
-}
 
 TEST(Catalog, GlobSelectsSubsets) {
   const auto& registry = ExperimentRegistry::instance();
@@ -226,6 +270,35 @@ TEST(RunnerCli, ListShowsCatalog) {
   EXPECT_NE(described.find("--set days=<value>"), std::string::npos);
 }
 
+TEST(Catalog, ReadmeBlockIsTheListOutput) {
+  // README's "### Experiment catalog" block is `list` output verbatim,
+  // minus this binary's test fixtures and the trailing count line.
+  std::ifstream readme(std::string(CISP_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(readme) << "cannot open README.md";
+  std::vector<std::string> block;
+  std::string line;
+  while (std::getline(readme, line) && line != "### Experiment catalog") {
+  }
+  while (std::getline(readme, line) && line != "```") {
+  }
+  while (std::getline(readme, line) && line != "```") block.push_back(line);
+  ASSERT_FALSE(block.empty()) << "no catalog block in README.md";
+
+  std::string out;
+  ASSERT_EQ(cli({"list"}, &out), 0);
+  const auto& registry = ExperimentRegistry::instance();
+  std::vector<std::string> listed;
+  std::istringstream lines(out);
+  while (std::getline(lines, line)) {
+    const std::string name = line.substr(0, line.find(' '));
+    if (!registry.contains(name)) continue;  // "N experiments"
+    const auto& tags = registry.spec(name).tags;
+    if (std::find(tags.begin(), tags.end(), "test") != tags.end()) continue;
+    listed.push_back(line);
+  }
+  EXPECT_EQ(block, listed);
+}
+
 TEST(RunnerCli, SetOverridesReachTheExperiment) {
   std::string out;
   ASSERT_EQ(cli({"run", "unit_param_echo", "--no-cache", "--seed", "99",
@@ -260,6 +333,27 @@ TEST(RunnerCli, JsonFlagRendersJson) {
   ASSERT_EQ(cli({"run", "unit_param_echo", "--no-cache", "--json"}, &out), 0);
   EXPECT_NE(out.find("{\"experiment\": \"unit_param_echo\""),
             std::string::npos);
+}
+
+TEST(RunnerCli, ThreadsAndSeedAcceptOnlyWholeUnsignedDecimals) {
+  // Each value is refused by the flag parser, before any experiment (or
+  // Executor) runs: stoul used to wrap "-1" and read "12abc" as 12.
+  for (const char* flag : {"--threads", "--seed"}) {
+    for (const char* value : {"-1", "12abc", "", "+3"}) {
+      std::string out;
+      std::string err;
+      EXPECT_EQ(cli({"run", "unit_param_echo", "--no-cache", flag, value},
+                    &out, &err),
+                1)
+          << flag << " " << value;
+      EXPECT_NE(err.find(std::string(flag) +
+                         " expects a whole unsigned decimal, got '" + value +
+                         "'"),
+                std::string::npos)
+          << err;
+      EXPECT_EQ(out.find("===="), std::string::npos) << out;
+    }
+  }
 }
 
 TEST(RunnerCli, SweepCombinesCellsBehindALeadingAxisColumn) {

@@ -61,6 +61,16 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   summary.row({"cost per GB", engine::Value::money(cost.usd_per_gb), "$0.81"});
   summary.row({"5-yr total cost ($M)",
                engine::Value::real(cost.total_usd / 1e6, 0), "-"});
+  std::size_t feasible = 0;
+  for (const auto& l : problem.links) feasible += l.feasible;
+  summary.row({"site-to-site MW links feasible/total (candidates after "
+               "pruning)",
+               std::to_string(feasible) + "/" +
+                   std::to_string(problem.links.size()) + " (" +
+                   std::to_string(problem.input.candidates().size()) + ")",
+               "-"});
+  summary.row({"radio installs (hops x series)", plan.installed_hop_series,
+               "-"});
 
   // Per-link map data (the Fig. 3 picture): endpoints, length, series.
   auto& links = results.add_table(

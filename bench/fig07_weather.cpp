@@ -8,6 +8,8 @@
 // inside weather::run_weather_study (one task per day, per-day seeds), so
 // the year parallelizes while staying bit-identical across thread counts.
 
+#include <algorithm>
+
 #include "bench_common.hpp"
 
 namespace {
@@ -69,6 +71,31 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                std::to_string(result.days_with_any_outage) + "/" +
                    std::to_string(params.days),
                "-"});
+
+  // A week of July (convective season) at 3-hour steps: which built links
+  // the rain field takes down, as they happen (first 12 outages).
+  const weather::OutageModel outage;
+  auto& log = results.add_table("fig07_outage_log",
+                                "July outage log (3-hour sampling)",
+                                {"day", "link", "state"});
+  for (double t = 190.0 * weather::kDayS;
+       t < 197.0 * weather::kDayS && log.row_count() < 12;
+       t += 3.0 * 3600.0) {
+    for (const std::size_t cand : topo.links) {
+      if (log.row_count() == 12) break;
+      const auto& c = problem.input.candidates()[cand];
+      const auto link = std::find_if(
+          problem.links.begin(), problem.links.end(), [&](const auto& l) {
+            return l.feasible && l.site_a == c.site_a && l.site_b == c.site_b;
+          });
+      if (outage.link_down(*link, scenario.tower_graph.towers, rain, t)) {
+        log.row({engine::Value::real(t / weather::kDayS, 1),
+                 problem.names[c.site_a] + " <-> " + problem.names[c.site_b],
+                 "DOWN"});
+      }
+    }
+  }
+  if (log.row_count() == 0) results.note("(no outages in the sampled week)");
   return results;
 }
 

@@ -2,6 +2,8 @@
 // the same methodology. The paper reports 1.04x stretch at ~3k towers —
 // costs comparable to the US design, i.e. the US geography is not special.
 
+#include <algorithm>
+
 #include "bench_common.hpp"
 
 namespace {
@@ -43,6 +45,23 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
              engine::Value::real(cap.aggregate_gbps, 0), "100"});
   table.row({"cost per GB", engine::Value::money(cost.usd_per_gb),
              "similar to US ($0.81)"});
+
+  auto& links = results.add_table("fig08_links", "longest built MW links",
+                                  {"from", "to", "mw_km", "stretch"});
+  std::vector<std::size_t> by_length = topo.links;
+  std::sort(by_length.begin(), by_length.end(),
+            [&](std::size_t a, std::size_t b) {
+              return problem.input.candidates()[a].mw_km >
+                     problem.input.candidates()[b].mw_km;
+            });
+  for (std::size_t i = 0; i < std::min<std::size_t>(8, by_length.size()); ++i) {
+    const auto& c = problem.input.candidates()[by_length[i]];
+    links.row({problem.names[c.site_a], problem.names[c.site_b],
+               engine::Value::real(c.mw_km, 0),
+               engine::Value::real(
+                   c.mw_km / problem.input.geodesic_km(c.site_a, c.site_b),
+                   3)});
+  }
 
   results.note(bench::topology_map_note(
       scenario, problem, topo, 100, 34,

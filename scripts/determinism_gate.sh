@@ -16,9 +16,10 @@
 #
 # An experiment on one side only prints added/removed and gates only its
 # thread diff. A commit in BASE_REV..HEAD whose message carries the trailer
-# `Results-moved: <experiment>` skips that experiment's base vs head diff
-# (the move is on purpose; CHANGES.md records old vs new); its thread diff
-# still gates. Exit 1 on any gating difference or failed head run.
+# `Results-moved: <experiment>` makes that experiment's base vs head diff
+# non-gating: its report is printed, indented, but does not count (the move
+# is on purpose; CHANGES.md records old vs new). Its thread diff still
+# gates. Exit 1 on any gating difference or failed head run.
 set -uo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -95,7 +96,9 @@ for e in $(printf '%s\n' $base_names $head_names | sort -u); do
   if ! grep -qx "$e" <<< "$base_names"; then
     echo "added $e"
   elif grep -qx "$e" <<< "$moved"; then
-    echo "moved $e (Results-moved trailer): base vs head not compared"
+    echo "moved $e (Results-moved trailer): base vs head (not gating)"
+    "$head_bin" diff "$(result base "$e")" "$t1" --tolerance 0 2>&1 |
+      sed 's/^/    /'
   else
     check "base vs head" "$e" "$(result base "$e")" "$t1"
   fi

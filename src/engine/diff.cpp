@@ -20,13 +20,16 @@ bool reals_equal(double a, double b, const DiffOptions& options) {
 }
 
 /// Typed cell comparison: reals under tolerance, everything else exact.
+/// A real's precision and money flag must match too: they change how the
+/// cell renders in every table and CSV.
 bool cells_equal(const Value& a, const Value& b, const DiffOptions& options) {
   if (a.kind() != b.kind()) return false;
   switch (a.kind()) {
     case Value::Kind::Null:
       return true;
     case Value::Kind::Real:
-      return reals_equal(a.as_real(), b.as_real(), options);
+      return a.precision() == b.precision() && a.is_money() == b.is_money() &&
+             reals_equal(a.as_real(), b.as_real(), options);
     case Value::Kind::Int:
       return a.as_int() == b.as_int();
     case Value::Kind::Text:
@@ -59,6 +62,12 @@ DiffReport diff_result_sets(const ResultSet& a, const ResultSet& b,
       continue;
     }
     const ResultTable& table_b = b.table(table_a.slug());
+    if (table_a.title() != table_b.title()) {
+      report.structural.push_back("table '" + table_a.slug() +
+                                  "': title '" + table_a.title() +
+                                  "' in A vs '" + table_b.title() +
+                                  "' in B");
+    }
     if (table_a.columns() != table_b.columns()) {
       report.structural.push_back("table '" + table_a.slug() +
                                   "': column mismatch");

@@ -19,7 +19,8 @@ namespace cisp::engine {
 struct DiffOptions {
   /// Reals a, b count as equal when
   /// |a - b| <= abs_tolerance + rel_tolerance * max(|a|, |b|).
-  /// Integers, text and null cells always compare exactly.
+  /// Integers, text and null cells always compare exactly, and so do a
+  /// real's display precision and money flag.
   double abs_tolerance = 0.0;
   double rel_tolerance = 0.0;
   /// Per-cell difference lines kept in the report (the counts are always
@@ -40,8 +41,8 @@ struct DiffReport {
   /// Cells in columns either side marks as timing (ResultTable::
   /// mark_timing): never compared, only counted.
   std::size_t timing_cells_skipped = 0;
-  /// Shape problems: tables present on one side only, column/row-count or
-  /// note mismatches. Any entry means the sets are not comparable 1:1.
+  /// Shape problems: tables present on one side only, title, column,
+  /// row-count or note mismatches. Any entry means the sets are not comparable 1:1.
   std::vector<std::string> structural;
   std::vector<CellDiff> cells;  ///< truncated to max_differences
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -90,6 +91,22 @@ std::uint64_t unsigned_flag_value(const std::vector<std::string>& args,
   CISP_REQUIRE(ec == std::errc{} && ptr == end,
                flag + " expects a whole unsigned decimal, got '" + text +
                    "'");
+  return value;
+}
+
+/// The value of diff's --tolerance/--relative: a whole decimal that is
+/// finite and >= 0. std::stod would read "0.5abc" as 0.5 and let "-1" or
+/// "nan" make every cell compare as equal.
+double tolerance_flag_value(const std::vector<std::string>& args,
+                            std::size_t& i) {
+  const std::string& flag = args[i];
+  const std::string& text = flag_value(args, i);
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  CISP_REQUIRE(ec == std::errc{} && ptr == end && std::isfinite(value) &&
+                   value >= 0.0,
+               flag + " expects a finite decimal >= 0, got '" + text + "'");
   return value;
 }
 
@@ -583,9 +600,9 @@ int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--tolerance") {
-      options.abs_tolerance = std::stod(flag_value(args, i));
+      options.abs_tolerance = tolerance_flag_value(args, i);
     } else if (arg == "--relative") {
-      options.rel_tolerance = std::stod(flag_value(args, i));
+      options.rel_tolerance = tolerance_flag_value(args, i);
     } else if (arg == "--cache-dir") {
       cache_dir = flag_value(args, i);
     } else if (!arg.empty() && arg[0] == '-') {

@@ -625,6 +625,41 @@ TEST(Diff, ReportsStructuralAndCellMismatches) {
   EXPECT_FALSE(diff_result_sets(a, c).identical());
 }
 
+TEST(Diff, PrecisionAndMoneyFlagMismatchesAreDifferingCells) {
+  // Same double, different rendering: "r3:" -> "r2:" changes every CSV of
+  // the table, so it must not pass at tolerance 0.
+  std::stringstream three("cisp-result-v1\ntable t\tT\ncolumns x\n"
+                          "row r3:1.25\nend\n");
+  std::stringstream two("cisp-result-v1\ntable t\tT\ncolumns x\n"
+                        "row r2:1.25\nend\n");
+  const DiffReport report =
+      diff_result_sets(deserialize(three), deserialize(two));
+  EXPECT_EQ(report.differing_cells, 1u);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_EQ(report.cells[0].a, "1.250");
+  EXPECT_EQ(report.cells[0].b, "1.25");
+
+  ResultSet plain;
+  plain.add_table("t", "T", {"x"}).row({Value::real(0.81, 2)});
+  ResultSet money;
+  money.add_table("t", "T", {"x"}).row({Value::money(0.81, 2)});
+  EXPECT_EQ(diff_result_sets(plain, money).differing_cells, 1u);
+}
+
+TEST(Diff, ARetitledTableIsAStructuralDifference) {
+  ResultSet a;
+  a.add_table("t", "Old title", {"x"}).row({1});
+  ResultSet b;
+  b.add_table("t", "New title", {"x"}).row({1});
+  const DiffReport report = diff_result_sets(a, b);
+  EXPECT_FALSE(report.identical());
+  EXPECT_EQ(report.differing_cells, 0u);
+  ASSERT_EQ(report.structural.size(), 1u);
+  EXPECT_NE(report.structural[0].find("'Old title' in A vs 'New title' in B"),
+            std::string::npos)
+      << report.structural[0];
+}
+
 TEST(DiffCli, ComparesCachedRunsEndToEnd) {
   // Two cached runs of the echo fixture with different x: the diff
   // subcommand must resolve name prefixes in --cache-dir, exit nonzero on
@@ -659,6 +694,28 @@ TEST(DiffCli, ComparesCachedRunsEndToEnd) {
                 nullptr, &err),
             1);
   EXPECT_NE(err.find("ambiguous"), std::string::npos);
+}
+
+TEST(RunnerCli, DiffToleranceFlagsAcceptOnlyFiniteNonNegativeDecimals) {
+  // stod used to read "0.5abc" as 0.5 and let "-1" or "nan" report two
+  // different runs as identical. Each value is refused before any file
+  // is opened.
+  for (const char* flag : {"--tolerance", "--relative"}) {
+    for (const char* value : {"0.5abc", "-1", "nan", "inf", ""}) {
+      std::string out;
+      std::string err;
+      EXPECT_EQ(cli({"diff", flag, value, "a.result", "b.result"}, &out,
+                    &err),
+                1)
+          << flag << " " << value;
+      EXPECT_NE(err.find(std::string(flag) +
+                         " expects a finite decimal >= 0, got '" + value +
+                         "'"),
+                std::string::npos)
+          << err;
+      EXPECT_EQ(out.find("identical"), std::string::npos) << out;
+    }
+  }
 }
 
 TEST(RunnerCli, CsvOutputIsIdenticalAcrossThreadCounts) {
